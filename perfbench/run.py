@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark of the fttim command line, end to end and layer by layer.
 
-    python3 perfbench/run.py --workload synthetic-compare --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload synthetic-compare --seed 1 --seconds 40 --trace 0
 
 Workloads (see README.md for why each was chosen and what it is made of):
 
@@ -48,7 +48,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
 
-REPS = 3  # fresh imports timed before the first slot; bank writes when traced
+REPS = 3    # fresh imports timed before the first slot
+WRITES = 2  # bank writes timed in set-up
 WAYS, QUERIES = 5, 15
 TAUS = (1.0, 0.1, 0.01, 0.001)
 PROGRAM_TIMEOUT_S = 150
@@ -59,7 +60,7 @@ class Scale:
     """Input sizes. ``FULL`` is the benchmark; ``TINY`` only serves the
     self-test, which checks that every metric is printed."""
 
-    episodes: dict                 # campaign episodes per workload
+    episodes: dict                 # episodes per campaign round, per workload
     bank: tuple                    # (classes, records per class, dim) of bank-evaluate
     companion_bank: tuple          # the bank the other workloads measure I/O on
     theory: dict                   # verify-theory instance counts (defaults at full size)
@@ -79,16 +80,16 @@ class Scale:
 
 
 FULL = Scale(
-    episodes={"synthetic-compare": 10, "bank-evaluate": 2, "theory-verify": 8},
+    episodes={"synthetic-compare": 2, "bank-evaluate": 2, "theory-verify": 2},
     bank=(20, 100, 640),
     companion_bank=(20, 100, 64),
     theory=dict(decomposition=1000, kkt=100, lloyd=200, mm=500, sweep=100),
     gap_instances=100,
-    companion_theory=dict(decomposition=200, kkt=20, lloyd=40, mm=100, sweep=20),
+    companion_theory=dict(decomposition=100, kkt=10, lloyd=20, mm=50, sweep=10),
     tim={},
 )
 TINY = Scale(
-    episodes={"synthetic-compare": 2, "bank-evaluate": 2, "theory-verify": 2},
+    episodes={"synthetic-compare": 1, "bank-evaluate": 2, "theory-verify": 1},
     bank=(6, 20, 32),
     companion_bank=(6, 20, 8),
     theory=dict(decomposition=20, kkt=4, lloyd=4, mm=5, sweep=4),
@@ -100,22 +101,24 @@ TINY = Scale(
 
 @dataclass(frozen=True)
 class Workload:
-    main: str          # "campaign" or "theory"
+    theory_rounds: int  # verify-theory rounds per slot; none: the campaign is the main round
     command: str       # the campaign's subcommand
     source: str        # "synthetic" or "bank"
-    pool: bool         # timed campaign rounds at nproc workers (else 1)
+    pool: bool         # campaign rounds at nproc workers (else 1)
+    groups: int        # campaign rounds cycle over this many groups of episodes
+    slot_s: float      # seconds one slot takes on the reference machine (README)
     check_episodes: int  # campaign episodes the traced run re-solves in-process
-    # samples per slot of the metrics the main round does not give; short
-    # samples are taken several times so that each median has about ten
-    bank_samples: int
-    theory_samples: int
+    # a companion block samples what the main rounds do not give: bank loads
+    # and in-process theory runs, interleaved, then one fresh import
+    block_loads: int
+    block_theory: int
 
 
 WORKLOADS = {
-    "synthetic-compare": Workload("campaign", "compare", "synthetic", False, 2, 3, 3),
-    "bank-evaluate": Workload("campaign", "evaluate", "bank", True, 1, 2, 6),
+    "synthetic-compare": Workload(0, "compare", "synthetic", False, 5, 3.9, 2, 4, 6),
+    "bank-evaluate": Workload(0, "evaluate", "bank", True, 1, 19.0, 1, 3, 20),
     # its campaign is a companion that supplies the episode metrics
-    "theory-verify": Workload("theory", "compare", "synthetic", False, 2, 1, 0),
+    "theory-verify": Workload(3, "compare", "synthetic", False, 4, 9.9, 2, 4, 0),
 }
 
 
@@ -129,6 +132,17 @@ class ProgramRun:
 
 def median(values) -> float:
     return float(statistics.median(values))
+
+
+def lower_quartile(values) -> float:
+    """The rate that three samples in four reach. This machine's speed is
+    bimodal, a steady slow state with fast bursts of varying share; the
+    median jumps between the two, the lower quartile stays in the slow one
+    (README, *Noise*)."""
+    values = list(values)
+    if len(values) == 1:
+        return float(values[0])
+    return float(statistics.quantiles(values, n=4, method="inclusive")[0])
 
 
 def make_bank(fttim, classes: int, per_class: int, dim: int, seed: int):
@@ -152,7 +166,8 @@ class Run:
         self.w, self.seed, self.scale, self.work = WORKLOADS[name], seed, scale, work
         self.nproc = len(os.sched_getaffinity(0))
         self.base_seed = seed * 1000  # campaign episodes base_seed .. base_seed + E - 1
-        self.episodes = scale.episodes[name]
+        self.round_episodes = scale.episodes[name]
+        self.episodes = self.w.groups * self.round_episodes  # E, the whole campaign
         self.variants = fttim.engine.VARIANTS if self.w.command == "compare" else ("ft_tim",)
         self.errors: list[str] = []
         self.attempted = self.failed = 0
@@ -198,35 +213,36 @@ class Run:
             raise RuntimeError(f"import fttim failed:\n{run.output}")
         return run.seconds
 
-    # --- the bank: written once in set-up, rewritten once per slot -----------
+    # --- the bank: written in set-up, loaded in every companion block ---------
 
     def write_bank(self) -> None:
+        """Writes the bank and loads it, then rewrites the loaded copy until
+        ``WRITES`` writes are timed; each rewrite must reproduce the first
+        file byte for byte."""
         shape = self.scale.bank if self.w.source == "bank" else self.scale.companion_bank
         self.bank = make_bank(self.fttim, *shape, self.seed)
         self.bank_path = self.work / "bank.csv"
-        self.bank_io(self.bank, self.bank_path)
+        rewrite = self.work / "bank.rewrite.csv"
+        for path in [self.bank_path] + [rewrite] * (WRITES - 1):
+            start = time.perf_counter()
+            self.fttim.write_feature_bank(self.loaded if self.writes else self.bank, path)
+            self.writes.append(time.perf_counter() - start)
+            self.attempted += 1
+            if path == self.bank_path:
+                self.load_bank()
+            elif path.read_bytes() != self.bank_path.read_bytes():
+                self.errors.append("rewriting the loaded bank changed its bytes")
         self.bank_MB = self.bank_path.stat().st_size / 1e6
 
-    def bank_io(self, bank, path: Path) -> None:
-        """One timed write and one timed load; the load must give back the
-        generated array exactly, and a rewrite of a loaded bank must
-        reproduce the first file byte for byte."""
-        fttim = self.fttim
+    def load_bank(self) -> None:
+        """One timed load; it must give back the generated array exactly."""
         start = time.perf_counter()
-        fttim.write_feature_bank(bank, path)
-        self.writes.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        self.loaded = fttim.load_feature_bank(path)
+        self.loaded = self.fttim.load_feature_bank(self.bank_path)
         self.loads.append(time.perf_counter() - start)
+        self.attempted += 1
         if not (np.array_equal(self.loaded.vectors, self.bank.vectors)
                 and np.array_equal(self.loaded.class_ids, self.bank.class_ids)):
-            self.errors.append(f"{path.name}: loaded bank differs from the generated array")
-        if path != self.bank_path and path.read_bytes() != self.bank_path.read_bytes():
-            self.errors.append("rewriting the loaded bank changed its bytes")
-        self.attempted += 2
-
-    def rewrite_bank(self) -> None:
-        self.bank_io(self.loaded, self.work / "bank.rewrite.csv")
+            self.errors.append("loaded bank differs from the generated array")
 
     # --- campaign ------------------------------------------------------------
 
@@ -296,7 +312,7 @@ class Run:
 
     def theory_companion(self) -> float:
         """Theory instances per second of one in-process ``run_theory_suite``
-        at a fifth of the default counts."""
+        at a tenth of the default counts."""
         counts = {f"{k}_instances": v for k, v in self.scale.companion_theory.items()}
         start = time.perf_counter()
         results = self.fttim.run_theory_suite(**counts)
@@ -310,54 +326,73 @@ class Run:
     # --- the two kinds of run ---------------------------------------------------
 
     def timed(self, seconds: float) -> dict:
-        """Set-up, then slots until ``seconds`` have passed. A slot is one
-        main round plus samples of set-up and of each metric the main round
-        does not give, so that every median draws on the whole run: the
-        machine's speed drifts by a quarter over tens of seconds."""
+        """Set-up, then a companion block and whole cycles of slots: as many
+        cycles over the campaign's groups as take about ``seconds`` on the
+        reference machine, at least one. A slot is one main round plus a
+        companion block, which samples set-up and every metric the main round
+        does not give, so that every metric draws on samples spread over the
+        whole run: the machine's speed changes from second to second and
+        from minute to minute. Every run of a workload makes the same operations,
+        so failures are the same share of attempts in every run."""
+        cycles = max(1, round(seconds / (self.w.slot_s * self.w.groups)))
         imports = [self.time_import() for _ in range(REPS)]
         self.write_bank()
         theory_rates, campaign_rates, main_runs = [], [], []
         first_text: dict[int, str] = {}
         theory_output = None
-        start = time.perf_counter()
-        while True:
-            slot = len(main_runs)
-            if self.w.main == "campaign":
-                run, text = self.campaign_round(self.nproc if self.w.pool else 1, f"campaign{slot}")
-                self.same_report(text, first_text.setdefault(0, text), f"campaign round {slot}")
-                campaign_rates.append(self.episodes * len(self.variants) / run.seconds)
-                theory_rates += [self.theory_companion() for _ in range(self.w.theory_samples)]
-            else:
-                run, output = self.theory_round(f"theory{slot}")
-                if theory_output is None:
-                    theory_output = output
-                    self.check_theory_sample()
-                elif output != theory_output:
-                    self.errors.append(f"theory round {slot}: output differs from the first round")
-                theory_rates.append(
-                    (sum(self.scale.theory.values()) + self.scale.gap_instances) / run.seconds)
-                # the companion campaign, one episode per slot, cycling
-                k = slot % self.episodes
-                crun, text = self.campaign_round(1, f"campaign{slot}", first=k, episodes=1)
-                self.same_report(text, first_text.setdefault(k, text), f"campaign episode {k}")
-                campaign_rates.append(len(self.variants) / crun.seconds)
+
+        def block(imports_too: bool = True) -> None:
+            loads, theory = self.w.block_loads, self.w.block_theory
+            n = max(loads, theory)
+            for i in range(n):  # the loads spread evenly among the theory runs
+                if i * loads // n != (i + 1) * loads // n:
+                    self.load_bank()
+                if i * theory // n != (i + 1) * theory // n:
+                    theory_rates.append(self.theory_companion())
+            if imports_too:
+                imports.append(self.time_import())
+
+        def theory_main(tag: str) -> None:
+            nonlocal theory_output
+            run, output = self.theory_round(tag)
+            if theory_output is None:
+                theory_output = output
+                self.check_theory_sample()
+            elif output != theory_output:
+                self.errors.append(f"{tag}: output differs from the first round")
+            theory_rates.append(
+                (sum(self.scale.theory.values()) + self.scale.gap_instances) / run.seconds)
             main_runs.append(run)
-            imports.append(self.time_import())
-            for _ in range(self.w.bank_samples):
-                self.rewrite_bank()
-            if (time.perf_counter() - start >= seconds
-                    and len(first_text) == (1 if self.w.main == "campaign" else self.episodes)):
-                break
+
+        start = time.perf_counter()
+        block()
+        for slot in range(cycles * self.w.groups):
+            for i in range(self.w.theory_rounds):
+                theory_main(f"theory{self.w.theory_rounds * slot + i}")
+                block(imports_too=False)
+            k = slot % self.w.groups
+            run, text = self.campaign_round(self.nproc if self.w.pool else 1, f"campaign{slot}",
+                                            first=k * self.round_episodes,
+                                            episodes=self.round_episodes)
+            self.same_report(text, first_text.setdefault(k, text), f"campaign round {slot}")
+            campaign_rates.append(self.round_episodes * len(self.variants) / run.seconds)
+            if not self.w.theory_rounds:
+                main_runs.append(run)
+            block()
+        (self.work / "samples.json").write_text(json.dumps({
+            "imports_s": imports, "bank_writes_s": self.writes, "bank_loads_s": self.loads,
+            "theory_instances_per_s": theory_rates, "episodes_per_s": campaign_rates,
+            "measured_s": time.perf_counter() - start}, indent=1) + "\n")
         accuracy = [self.variant_reports(t)["ft_tim"]["mean_accuracy"] for t in first_text.values()]
         own_input = self.w.source == "bank"
         return {
             # set-up: interpreter start and import, plus writing the input
             # files where the workload has them (bank-evaluate)
             "setup_s": median(imports) + (median(self.writes) if own_input else 0.0),
-            "episodes_per_s": median(campaign_rates),
+            "episodes_per_s": lower_quartile(campaign_rates),
             "ft_tim_accuracy": statistics.fmean(accuracy),
-            "bank_load_MB_per_s": self.bank_MB / median(self.loads),
-            "theory_instances_per_s": median(theory_rates),
+            "bank_load_MB_per_s": lower_quartile(self.bank_MB / s for s in self.loads),
+            "theory_instances_per_s": lower_quartile(theory_rates),
             "peak_rss_MB": max(r.peak_rss_MB for r in main_runs),
         }
 
@@ -367,8 +402,6 @@ class Run:
         tracer = Tracer(spans_dir)
         metrics = {"cli.import_s": median(self.time_import() for _ in range(REPS))}
         self.write_bank()
-        for _ in range(REPS - 1):
-            self.rewrite_bank()
         metrics["features.write_feature_bank.MB_per_s"] = self.bank_MB / median(self.writes)
 
         # the campaign at 1 and at nproc workers, then traced at nproc: all
@@ -387,7 +420,7 @@ class Run:
 
         metrics["bench.run_episodes.serial_episodes_per_s"] = run_episodes_rate(serial_text)
         metrics["bench.run_episodes.pool_episodes_per_s"] = run_episodes_rate(pool_text)
-        if self.w.main == "campaign":
+        if not self.w.theory_rounds:
             untraced_s, traced_s = pool.seconds, traced.seconds
         else:
             untraced, untraced_out = self.theory_round("theory-untraced")

@@ -31,6 +31,7 @@ from .engine import (
     transform_active,
 )
 from .features import (
+    DegenerateVectorError,
     Episode,
     FeatureBank,
     class_separation_ratio,
@@ -143,7 +144,10 @@ class EpisodeOutcome:
 
 def _run_episode(args) -> EpisodeOutcome:
     source, config, seed = args
-    episode = source.episode(seed)
+    try:
+        episode = source.episode(seed)
+    except DegenerateVectorError as exc:
+        return EpisodeOutcome(seed, None, None, 0, True, f"episode input: {exc}")
     try:
         result = run_ft_tim(episode, config)
     except EpisodeFailure as exc:
@@ -151,7 +155,11 @@ def _run_episode(args) -> EpisodeOutcome:
     accuracy = float(np.mean(result.predictions == episode.query_hidden_labels))
     heldout_accuracy = None
     if episode.heldout_vectors is not None:
-        preds, _ = predict_features(episode.heldout_vectors, result.state, config)
+        try:
+            preds, _ = predict_features(episode.heldout_vectors, result.state, config)
+        except DegenerateVectorError as exc:
+            return EpisodeOutcome(seed, None, None, result.state.iter, True,
+                                  f"held-out scoring: {exc}")
         heldout_accuracy = float(np.mean(preds == episode.heldout_hidden_labels))
     return EpisodeOutcome(seed, accuracy, heldout_accuracy, result.state.iter, False)
 
@@ -283,7 +291,7 @@ def evaluate(
 class PairedStats:
     pair: str
     n: int
-    mean_diff: float
+    mean_diff: float | None  # None when no pair of episodes succeeded
     ci95_halfwidth: float | None
     wins: int
     losses: int
@@ -324,9 +332,10 @@ class CompareReport:
         lines.append(f"{'pair':<34}{'mean_diff':>10}{'ci95':>8}"
                      f"{'wins':>6}{'losses':>8}{'ties':>6}")
         for p in self.paired:
+            diff = "n/a" if p.mean_diff is None else f"{p.mean_diff:+.4f}"
             ci = "n/a" if p.ci95_halfwidth is None else f"{p.ci95_halfwidth:.4f}"
             lines.append(
-                f"{p.pair:<34}{p.mean_diff:>+10.4f}{ci:>8}"
+                f"{p.pair:<34}{diff:>10}{ci:>8}"
                 f"{p.wins:>6}{p.losses:>8}{p.ties:>6}"
             )
         return "\n".join(lines)
@@ -352,7 +361,7 @@ def _paired_stats(name_a, rep_a, name_b, rep_b) -> PairedStats:
     return PairedStats(
         pair=f"{name_a}-{name_b}",
         n=len(diffs),
-        mean_diff=mean if mean is not None else float("nan"),
+        mean_diff=mean,
         ci95_halfwidth=ci,
         wins=wins,
         losses=losses,
@@ -605,4 +614,6 @@ def default_workers() -> int:
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write a report as strict JSON: a NaN or infinity raises ValueError."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
+                          encoding="utf-8")

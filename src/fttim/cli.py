@@ -244,24 +244,28 @@ def _cmd_export(args, parser, argv) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fttim",
+        allow_abbrev=False,
         description="Transductive one-shot inference with a fine-tuned "
                     "norm-induced feature transformation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("evaluate", help="run an episodic campaign")
+    # flags are spelled in full: _merge_config_file finds explicit flags by
+    # their full spelling, so an abbreviation would lose to the config file
+    p_eval = sub.add_parser("evaluate", allow_abbrev=False,
+                            help="run an episodic campaign")
     _add_source_flags(p_eval)
     _add_tim_flags(p_eval)
     p_eval.add_argument("--variant", choices=VARIANTS, default="ft_tim")
     p_eval.set_defaults(func=_cmd_evaluate, parser=p_eval)
 
-    p_cmp = sub.add_parser("compare",
+    p_cmp = sub.add_parser("compare", allow_abbrev=False,
                            help="paired comparison across all variants")
     _add_source_flags(p_cmp)
     _add_tim_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, parser=p_cmp)
 
-    p_ver = sub.add_parser("verify-theory",
+    p_ver = sub.add_parser("verify-theory", allow_abbrev=False,
                            help="numeric verification of the clustering-side theory")
     p_ver.add_argument("--decomposition-instances", type=int, default=1000)
     p_ver.add_argument("--kkt-instances", type=int, default=100)
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)
     p_ver.set_defaults(func=_cmd_verify_theory, parser=p_ver)
 
-    p_exp = sub.add_parser("export-embeddings",
+    p_exp = sub.add_parser("export-embeddings", allow_abbrev=False,
                            help="fit one episode and dump feature tables")
     _add_source_flags(p_exp)
     _add_tim_flags(p_exp)

@@ -120,21 +120,28 @@ class SemiSupervisedResult(NamedTuple):
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
-def _squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    f2 = np.einsum("ij,ij->i", features, features)
+def posteriors(
+    features: np.ndarray, prototypes: np.ndarray, tau: float,
+    f2: np.ndarray | None = None,
+) -> np.ndarray:
+    """Distance-softmax class posteriors, one simplex row per feature row.
+
+    ``f2`` may pass in the squared row norms of ``features`` when the caller
+    already has them."""
+    if f2 is None:
+        f2 = np.einsum("ij,ij->i", features, features)
     p2 = np.einsum("ij,ij->i", prototypes, prototypes)
-    d2 = f2[:, None] + p2[None, :] - 2.0 * (features @ prototypes.T)
-    return np.maximum(d2, 0.0)
-
-
-def posteriors(features: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
-    """Distance-softmax class posteriors, one simplex row per feature row."""
-    return _softmax_rows(-(tau / 2.0) * _squared_distances(features, prototypes))
+    d2 = features @ prototypes.T
+    d2 *= 2.0
+    np.subtract(np.add.outer(f2, p2), d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -(tau / 2.0)
+    return _softmax_rows(d2)
 
 
 def transform_active(iteration: int, config: TimConfig) -> bool:
@@ -142,25 +149,25 @@ def transform_active(iteration: int, config: TimConfig) -> bool:
 
 
 def _pipeline(
-    X: np.ndarray, W: np.ndarray, active: bool, variant: str
+    X: np.ndarray, W: np.ndarray, active: bool, variant: str,
+    x_sq: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Features fed to the classifier: (z, raw, raw_norms).
 
     raw and raw_norms are None when the transform is inactive (z is then the
-    input itself, assumed unit-normalized).
+    input itself, assumed unit-normalized). ``x_sq`` and ``scratch`` are
+    passed on to :func:`norm_induced_map`.
     """
     if not active:
         return X, None, None
     if variant == "linear_transform":
         raw = X @ W.T
     else:
-        raw = norm_induced_map(X, W)
-    norms = np.linalg.norm(raw, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(
-            f"transformed feature {int(zero[0])} is the zero vector"
-        )
+        raw = norm_induced_map(X, W, x_sq, scratch)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
+    if np.fmin.reduce(norms, initial=np.inf) == 0.0:  # fmin skips NaN norms
+        zero = int(np.flatnonzero(norms == 0.0)[0])
+        raise DegenerateVectorError(f"transformed feature {zero} is the zero vector")
     return raw / norms[:, None], raw, norms
 
 
@@ -172,98 +179,103 @@ def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.nd
     return theta
 
 
-def _loss_terms(
-    p_support: np.ndarray,
-    labels: np.ndarray,
-    p_query: np.ndarray,
-    config: TimConfig,
-) -> LossTerms:
-    ns = p_support.shape[0]
-    nq = p_query.shape[0]
-    picked = np.maximum(p_support[np.arange(ns), labels], PROB_FLOOR)
-    ce = -(config.lambda_ce / ns) * float(np.sum(np.log(picked)))
-    logq = np.log(np.maximum(p_query, PROB_FLOOR))
-    cond = -(config.alpha_cond / nq) * float(np.sum(p_query * logq))
-    marginal = p_query.mean(axis=0)
-    marg = float(np.sum(marginal * np.log(np.maximum(marginal, PROB_FLOOR))))
-    return LossTerms(ce + cond + marg, ce, cond, marg)
+def _all_finite(a: np.ndarray) -> bool:
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
-def _logit_grads(
-    p_support: np.ndarray,
-    labels: np.ndarray,
-    p_query: np.ndarray,
-    config: TimConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """d(loss)/d(logits) for support rows and query rows."""
-    ns, C = p_support.shape
-    nq = p_query.shape[0]
-    onehot = np.zeros((ns, C))
-    onehot[np.arange(ns), labels] = 1.0
-    g_support = (config.lambda_ce / ns) * (p_support - onehot)
+class _Step:
+    """The solver step of one episode: its constants and scratch buffers,
+    built once, and one fused forward and backward pass over them.
 
-    logq = np.log(np.maximum(p_query, PROB_FLOOR))
-    row_entropy = -np.sum(p_query * logq, axis=1)
-    g_cond = (config.alpha_cond / nq) * p_query * (-logq - row_entropy[:, None])
-
-    log_marginal = np.log(np.maximum(p_query.mean(axis=0), PROB_FLOOR)) / nq
-    g_marg = p_query * (log_marginal[None, :] - (p_query @ log_marginal)[:, None])
-    return g_support, g_cond + g_marg
-
-
-def _param_grads(
-    G: np.ndarray, z: np.ndarray, theta: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map logit gradients to (d loss/d theta, d loss/d z).
-
-    The logit is -(tau/2)||theta_c - z_i||^2, so d/d theta_c = -tau (theta_c - z_i)
-    and d/d z_i = tau (theta_c - z_i).
+    ``forward`` maps and normalizes the features (when the transform is
+    active), takes the posteriors and the loss terms, and keeps what
+    ``backward`` needs; ``backward`` returns the exact gradients at that
+    point. The posteriors and marginal are fresh arrays on every pass; the
+    W gradient lives in a buffer that the next backward pass overwrites.
     """
-    col = G.sum(axis=0)
-    grad_theta = -tau * (col[:, None] * theta - G.T @ z)
-    row = G.sum(axis=1)
-    grad_z = tau * (G @ theta - row[:, None] * z)
-    return grad_theta, grad_z
 
+    def __init__(self, episode: Episode, config: TimConfig):
+        support_x, labels, query_x = episode.solver_inputs()
+        self.config = config
+        self.ns, self.nq = len(support_x), len(query_x)
+        self.X = X = np.vstack([l2_normalize_rows(support_x), l2_normalize_rows(query_x)])
+        self.x_sq = np.add.reduce(X * X, axis=1)
+        self.f2 = np.einsum("ij,ij->i", X, X)  # squared norms of z = X when inactive
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.picks = (np.arange(self.ns), self.labels)
+        C, d = episode.num_classes, X.shape[1]
+        self.onehot = np.zeros((self.ns, C))
+        self.onehot[self.picks] = 1.0
+        self.G = np.empty((len(X), C))  # d loss / d logits, support rows first
+        self.scratch = np.empty((d, d))
+        self.grad_W = np.empty((d, d))
 
-def _grad_through_normalization(
-    grad_z: np.ndarray, raw: np.ndarray, norms: np.ndarray
-) -> np.ndarray:
-    # z = r/||r||  =>  J^T g = g/||r|| - r (r.g)/||r||^3
-    dot = np.sum(raw * grad_z, axis=1, keepdims=True)
-    n = norms[:, None]
-    return grad_z / n - raw * (dot / n**3)
+    def forward(self, W: np.ndarray, theta: np.ndarray, active: bool) -> LossTerms:
+        self.W, self.theta, self.active = W, theta, active
+        self.z, self.raw, self.norms = _pipeline(
+            self.X, W, active, self.config.variant, self.x_sq, self.scratch)
+        f2 = None if active else self.f2
+        return self.loss_terms(posteriors(self.z, theta, self.config.tau, f2))
 
+    def loss_terms(self, p: np.ndarray) -> LossTerms:
+        """Loss terms of stacked (support, query) posterior rows."""
+        cfg, ns, nq = self.config, self.ns, self.nq
+        self.p_s, self.p_q = p_s, p_q = p[:ns], p[ns:]
+        picked = np.maximum(p_s[self.picks], PROB_FLOOR)
+        ce = -(cfg.lambda_ce / ns) * float(np.add.reduce(np.log(picked)))
+        self.logq = np.log(np.maximum(p_q, PROB_FLOOR))
+        self.plogq = p_q * self.logq
+        cond = -(cfg.alpha_cond / nq) * float(np.add.reduce(self.plogq, axis=None))
+        self.marginal = np.add.reduce(p_q, axis=0) / nq
+        self.log_marginal = np.log(np.maximum(self.marginal, PROB_FLOOR))
+        marg = float(np.add.reduce(self.marginal * self.log_marginal))
+        return LossTerms(ce + cond + marg, ce, cond, marg)
 
-def _grad_w(
-    grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray, variant: str
-) -> np.ndarray:
-    if variant == "linear_transform":
-        return grad_raw.T @ X
-    # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
-    col = grad_raw.sum(axis=0)
-    return grad_raw.T @ X - col[:, None] * W
+    def backward(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(d loss/d theta, d loss/d W) at the last forward pass; the W
+        gradient is None when the transform was inactive."""
+        cfg, ns, nq = self.config, self.ns, self.nq
+        p_q, G, z, theta = self.p_q, self.G, self.z, self.theta
+        # logit gradients: support rows, then query rows
+        np.subtract(self.p_s, self.onehot, out=G[:ns])
+        G[:ns] *= cfg.lambda_ce / ns
+        row_entropy = -np.add.reduce(self.plogq, axis=1)
+        g_cond = (cfg.alpha_cond / nq) * p_q * (-self.logq - row_entropy[:, None])
+        log_marginal = self.log_marginal / nq
+        g_marg = p_q * (log_marginal - (p_q @ log_marginal)[:, None])
+        np.add(g_cond, g_marg, out=G[ns:])
 
+        # the logit is -(tau/2)||theta_c - z_i||^2, so d/d theta_c is
+        # -tau (theta_c - z_i) and d/d z_i is tau (theta_c - z_i)
+        grad_theta = np.add.reduce(G, axis=0)[:, None] * theta
+        grad_theta -= G.T @ z
+        grad_theta *= -cfg.tau
+        if not self.active:
+            return grad_theta, None
+        grad_z = G @ theta
+        grad_z -= np.add.reduce(G, axis=1)[:, None] * z
+        grad_z *= cfg.tau
 
-def _episode_arrays(episode: Episode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    support_x, labels, query_x = episode.solver_inputs()
-    return (
-        l2_normalize_rows(support_x),
-        np.asarray(labels, dtype=np.int64),
-        l2_normalize_rows(query_x),
-    )
+        # z = r/||r||  =>  J^T g = g/||r|| - r (r.g)/||r||^3
+        raw, n = self.raw, self.norms[:, None]
+        dot = np.add.reduce(raw * grad_z, axis=1, keepdims=True)
+        grad_raw = grad_z
+        grad_raw /= n
+        grad_raw -= raw * (dot / n**3)
+
+        grad_W = np.matmul(grad_raw.T, self.X, out=self.grad_W)
+        if cfg.variant != "linear_transform":
+            # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
+            col = np.add.reduce(grad_raw, axis=0)
+            grad_W -= np.multiply(col[:, None], self.W, out=self.scratch)
+        return grad_theta, grad_W
 
 
 def tim_loss(episode: Episode, state: SolverState, config: TimConfig) -> LossTerms:
     """Loss terms at the given state, using the representation in effect
     at ``state.iter`` (raw before transform_start, transformed after)."""
-    sx, labels, qx = _episode_arrays(episode)
-    active = transform_active(state.iter, config)
-    X = np.vstack([sx, qx])
-    z, _, _ = _pipeline(X, state.W, active, config.variant)
-    ns = sx.shape[0]
-    p = posteriors(z, state.prototypes, config.tau)
-    return _loss_terms(p[:ns], labels, p[ns:], config)
+    return _Step(episode, config).forward(
+        state.W, state.prototypes, transform_active(state.iter, config))
 
 
 def tim_gradients(
@@ -274,42 +286,51 @@ def tim_gradients(
     The W gradient is the zero matrix whenever the transform is inactive at
     ``state.iter`` (and always for variant "tim_baseline").
     """
-    sx, labels, qx = _episode_arrays(episode)
-    active = transform_active(state.iter, config)
-    X = np.vstack([sx, qx])
-    z, raw, norms = _pipeline(X, state.W, active, config.variant)
-    ns = sx.shape[0]
-    p = posteriors(z, state.prototypes, config.tau)
-    p_s, p_q = p[:ns], p[ns:]
-    g_s, g_q = _logit_grads(p_s, labels, p_q, config)
-    G = np.vstack([g_s, g_q])
-    grad_theta, grad_z = _param_grads(G, z, state.prototypes, config.tau)
-    if active:
-        grad_raw = _grad_through_normalization(grad_z, raw, norms)
-        grad_W = _grad_w(grad_raw, X, state.W, config.variant)
-    else:
+    step = _Step(episode, config)
+    step.forward(state.W, state.prototypes, transform_active(state.iter, config))
+    grad_theta, grad_W = step.backward()
+    if grad_W is None:
         grad_W = np.zeros_like(state.W)
-    if not (np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_W))):
+    if not (_all_finite(grad_theta) and _all_finite(grad_W)):
         raise EpisodeFailure("non-finite gradient", iteration=state.iter)
     return grad_theta, grad_W
 
 
 class _Adam:
-    """Standard adaptive-moment updater for one parameter group."""
+    """Standard adaptive-moment updater, updating one array in place. The
+    steps repeat the operations of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
+    lr m_hat / (sqrt(v_hat) + eps) in order, so results match bit for bit."""
 
     def __init__(self, shape, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self.s1, self.s2 = np.empty(shape), np.empty(shape)  # scratch
         self.t = 0
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
-    def step(self, grad: np.ndarray, lr: float) -> np.ndarray:
+    def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, s1, s2 = self.m, self.v, self.s1, self.s2
+        m *= self.beta1
+        m += np.multiply(1 - self.beta1, grad, out=s1)
+        v *= self.beta2
+        np.multiply(1 - self.beta2, grad, out=s1)
+        s1 *= grad
+        v += s1
+        np.divide(m, 1 - self.beta1**self.t, out=s1)
+        s1 *= lr
+        np.divide(v, 1 - self.beta2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        param -= s1
+
+
+def _update(param: np.ndarray, grad: np.ndarray, lr: float, adam: _Adam | None) -> None:
+    if adam is not None:
+        adam.step(param, grad, lr)
+    else:
+        grad *= lr
+        param -= grad
 
 
 def run_ft_tim(
@@ -329,68 +350,47 @@ def run_ft_tim(
         EpisodeFailure: on a degenerate transform output or non-finite
             gradient; carries the failing iteration.
     """
-    sx, labels, qx = _episode_arrays(episode)
-    C = episode.num_classes
-    ns = sx.shape[0]
-    X = np.vstack([sx, qx])
-    theta = _init_prototypes(sx, labels, C)
-    W = init_transform(sx, mode="gram")
-    adam_theta = _Adam(theta.shape) if config.update_rule == "adaptive_moment" else None
-    adam_w = _Adam(W.shape) if config.update_rule == "adaptive_moment" else None
+    step = _Step(episode, config)
+    support_x = step.X[:step.ns]
+    theta = _init_prototypes(support_x, step.labels, episode.num_classes)
+    W = init_transform(support_x, mode="gram")
+    adaptive = config.update_rule == "adaptive_moment"
+    adam_theta = _Adam(theta.shape) if adaptive else None
+    adam_w = _Adam(W.shape) if adaptive else None
     trace: list[tuple[float, float, float]] = []
 
-    def features(iteration: int):
-        try:
-            return _pipeline(X, W, transform_active(iteration, config), config.variant)
-        except DegenerateVectorError as exc:
-            raise EpisodeFailure(str(exc), iteration=iteration) from exc
-
-    for it in range(config.iterations):
+    # the last pass, at iteration index `iterations`, only scores the queries
+    for it in range(config.iterations + 1):
         active = transform_active(it, config)
-        z, raw, norms = features(it)
-        p = posteriors(z, theta, config.tau)
-        p_s, p_q = p[:ns], p[ns:]
-        terms = _loss_terms(p_s, labels, p_q, config)
+        try:
+            terms = step.forward(W, theta, active)
+        except DegenerateVectorError as exc:
+            raise EpisodeFailure(str(exc), iteration=it) from exc
         trace.append((terms.cross_entropy, terms.conditional_entropy,
                       terms.marginal_term))
+        if it == config.iterations:
+            break
         if on_iteration is not None:
-            on_iteration(it, p_q, terms)
+            on_iteration(it, step.p_q, terms)
 
-        g_s, g_q = _logit_grads(p_s, labels, p_q, config)
-        G = np.vstack([g_s, g_q])
-        grad_theta, grad_z = _param_grads(G, z, theta, config.tau)
-        if not np.all(np.isfinite(grad_theta)):
+        grad_theta, grad_W = step.backward()
+        if not _all_finite(grad_theta):
             raise EpisodeFailure("non-finite prototype gradient", iteration=it)
-        if active:
-            grad_raw = _grad_through_normalization(grad_z, raw, norms)
-            grad_W = _grad_w(grad_raw, X, W, config.variant)
-            if not np.all(np.isfinite(grad_W)):
+        if grad_W is not None:
+            if not _all_finite(grad_W):
                 raise EpisodeFailure("non-finite transform gradient", iteration=it)
-            if adam_w is not None:
-                W = W - adam_w.step(grad_W, config.lr_w)
-            else:
-                W = W - config.lr_w * grad_W
-        if adam_theta is not None:
-            theta = theta - adam_theta.step(grad_theta, config.lr_theta)
-        else:
-            theta = theta - config.lr_theta * grad_theta
+            _update(W, grad_W, config.lr_w, adam_w)
+        _update(theta, grad_theta, config.lr_theta, adam_theta)
 
-    # scoring pass at iteration index `iterations`
-    z, _, _ = features(config.iterations)
-    p = posteriors(z, theta, config.tau)
-    p_s, p_q = p[:ns], p[ns:]
-    terms = _loss_terms(p_s, labels, p_q, config)
-    trace.append((terms.cross_entropy, terms.conditional_entropy,
-                  terms.marginal_term))
     state = SolverState(
         prototypes=theta,
         W=W,
-        posteriors=p_q,
-        marginal=p_q.mean(axis=0),
+        posteriors=step.p_q,
+        marginal=step.marginal,
         iter=config.iterations,
         loss_trace=trace,
     )
-    return RunResult(np.argmax(p_q, axis=1), state, trace)
+    return RunResult(np.argmax(step.p_q, axis=1), state, trace)
 
 
 def predict_features(

@@ -24,7 +24,7 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-9
 
-_HEADER_RE = re.compile(r"^d=(\d+) n=(\d+)$")
+_HEADER_RE = re.compile(r"^d=(\d+) n=(\d+)$", re.ASCII)
 
 
 class FeatureFormatError(ValueError):
@@ -102,6 +102,34 @@ class FeatureBank:
         return sorted(self.class_index)
 
 
+# Characters that int() and float() accept around or inside a number but that
+# the format forbids: padding, carriage returns and digit-group underscores.
+_FORBIDDEN = {
+    "\r": "carriage return (line endings must be LF)",
+    "_": "underscore in a record",
+    **dict.fromkeys(" \t\x0b\x0c\x1c\x1d\x1e\x1f",
+                    "whitespace in a record (fields must not be padded)"),
+}
+
+
+def _check_record_characters(path: Path, text: str) -> None:
+    """Reject forbidden characters after the header line with whole-text
+    scans; the line number is found only when one is present."""
+    start = text.find("\n") + 1
+    if start == 0:
+        return
+    hits = [(pos, why) for c, why in _FORBIDDEN.items()
+            if (pos := text.find(c, start)) >= 0]
+    if not text.isascii():
+        pos = next((i for i in range(start, len(text)) if not text[i].isascii()), None)
+        if pos is not None:
+            hits.append((pos, "non-ASCII character in a record"))
+    if hits:
+        pos, why = min(hits)
+        lineno = text.count("\n", 0, pos) + 1
+        raise FeatureFormatError(f"{path}: line {lineno}: {why}")
+
+
 def load_feature_bank(path: str | Path, format: str = "csv") -> FeatureBank:
     """Parse a feature-table file into a :class:`FeatureBank`.
 
@@ -111,7 +139,7 @@ def load_feature_bank(path: str | Path, format: str = "csv") -> FeatureBank:
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_bytes().decode("utf-8")  # no newline translation
     if text == "":
         raise FeatureFormatError(f"{path}: empty file (line 1)")
     lines = text.split("\n")
@@ -125,6 +153,7 @@ def load_feature_bank(path: str | Path, format: str = "csv") -> FeatureBank:
     dim, n = int(header.group(1)), int(header.group(2))
     if dim < 1:
         raise FeatureFormatError(f"{path}: line 1: dimension must be positive")
+    _check_record_characters(path, text)
     if len(lines) - 1 != n:
         raise FeatureFormatError(
             f"{path}: header declares n={n} rows but file has {len(lines) - 1} "
@@ -155,7 +184,8 @@ def load_feature_bank(path: str | Path, format: str = "csv") -> FeatureBank:
             raise FeatureFormatError(
                 f"{path}: line {lineno}: non-numeric feature field"
             ) from None
-        if not all(math.isfinite(x) for x in row):
+        # a finite sum proves every value finite; overflow falls to the slow check
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise FeatureFormatError(
                 f"{path}: line {lineno}: non-finite feature value"
             )

@@ -30,17 +30,29 @@ class TransformedFeature:
     normalized: np.ndarray
 
 
-def norm_induced_map(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+def norm_induced_map(
+    X: np.ndarray,
+    W: np.ndarray,
+    x_sq: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Batched map: entry (i, j) is -0.5 * ||x_i - w_j||^2.
 
     Uses the expanded dot-product form; `apply_transform` uses the direct
-    norm form, and the two agree to float64 round-off.
+    norm form, and the two agree to float64 round-off. A caller that maps
+    the same X many times may pass its squared row norms ``x_sq`` and a
+    d x d float64 ``scratch`` buffer for W * W.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
-    x_sq = np.sum(X * X, axis=1)
-    w_sq = np.sum(W * W, axis=1)
-    return X @ W.T - 0.5 * (x_sq[:, None] + w_sq[None, :])
+    if x_sq is None:
+        x_sq = np.add.reduce(X * X, axis=1)
+    w_sq = np.add.reduce(np.multiply(W, W, out=scratch), axis=1)
+    raw = X @ W.T
+    half = np.add.outer(x_sq, w_sq)
+    half *= 0.5
+    raw -= half
+    return raw
 
 
 def apply_transform(x: np.ndarray, W: np.ndarray) -> TransformedFeature:

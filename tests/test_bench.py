@@ -219,6 +219,72 @@ def test_cli_exit_nonzero_on_failed_episode(tmp_path):
     assert payload["per_episode"][0]["failure_flag"] is True
 
 
+def test_zero_row_in_bank_is_flagged_not_a_crash(tmp_path, capsys):
+    # six classes of three records; ways=5 with two queries uses every record
+    # of a chosen class, so exactly the episodes that pick class 0 meet its
+    # all-zero row and cannot normalize it
+    rng = np.random.default_rng(3)
+    ids = np.repeat(np.arange(6), 3)
+    vecs = rng.standard_normal((18, 6))
+    vecs[0] = 0.0
+    bank_path = tmp_path / "bank.csv"
+    write_feature_bank(FeatureBank(dim=6, class_ids=ids, vectors=vecs), bank_path)
+    out = tmp_path / "r.json"
+    code = main([
+        "evaluate", "--features", str(bank_path), "--episodes", "6",
+        "--queries", "2", "--tim-iterations", "10", "--tim-transform-start", "3",
+        "--seed", "0", "--workers", "1", "--out", str(out),
+    ])
+    assert code == 1
+    flags = [e["failure_flag"] for e in json.loads(out.read_text())["per_episode"]]
+    assert any(flags) and not all(flags)
+    outcomes = bench.run_episodes(bench.BankSource(str(bank_path), 5, 2, 0),
+                                  TimConfig(iterations=10, transform_start=3),
+                                  episodes=6, base_seed=0)
+    for outcome, flag in zip(outcomes, flags):
+        assert outcome.failure_flag == flag
+        if flag:
+            assert outcome.iterations_run == 0
+            assert outcome.error == "episode input: row 0 has zero norm"
+    assert "failures" in capsys.readouterr().out
+
+
+def test_heldout_scoring_failure_is_flagged():
+    # the held-out vector is orthogonal to every support and query vector,
+    # so the fitted linear map sends it to zero
+    eye = np.eye(7)
+    episode = Episode(
+        num_classes=5,
+        dim=7,
+        support_labels=np.arange(5),
+        support_vectors=eye[:5],
+        query_vectors=np.vstack([eye[:5], (eye[0] + eye[1]) / np.sqrt(2.0)]),
+        query_hidden_labels=np.array([0, 1, 2, 3, 4, 0]),
+        heldout_vectors=eye[6:7],
+        heldout_hidden_labels=np.array([0]),
+    )
+    cfg = TimConfig(variant="linear_transform", iterations=10, transform_start=3)
+    outcome = bench._run_episode((_FixedSource(episode), cfg, 0))
+    assert outcome.failure_flag
+    assert outcome.accuracy is None and outcome.heldout_accuracy is None
+    assert outcome.iterations_run == 10
+    assert outcome.error == "held-out scoring: transformed feature 0 is the zero vector"
+
+
+def test_abbreviated_flag_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("episodes=3\n")
+    args = _fast_args(episodes=7, extra=["--config", str(cfg)])
+    args[args.index("--episodes")] = "--epi"
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--epi" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", "--decomp", "10"])
+    assert exc.value.code == 2
+
+
 # --- compare ------------------------------------------------------------------
 
 def test_compare_pairs_identical_seeds_and_orders_variants(tmp_path):
@@ -262,6 +328,30 @@ def test_compare_cli_writes_report(tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload["variants"]) == {"ft_tim", "tim_baseline",
                                         "linear_transform"}
+
+
+def test_compare_with_every_pair_failed_writes_strict_json(tmp_path, capsys):
+    # an enormous transform rate makes every ft_tim episode fail, so no pair
+    # has two successes and the paired means do not exist
+    out = tmp_path / "cmp.json"
+    code = main([
+        "compare", "--synthetic", "--episodes", "2", "--tim-lr-w", "1e300",
+        "--tim-transform-start", "0", "--tim-iterations", "3",
+        "--workers", "1", "--out", str(out),
+    ])
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["variants"]["ft_tim"]["per_episode"][0]["failure_flag"]
+    for pair in payload["paired"]:
+        assert pair["n"] == 0
+        assert pair["mean_diff"] is None
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("ft_tim-")]
+    assert len(rows) == 2 and all(row.split()[1] == "n/a" for row in rows)
 
 
 # --- verify-theory ------------------------------------------------------------

@@ -20,7 +20,7 @@ from fttim import (
     tim_gradients,
     tim_loss,
 )
-from fttim.engine import SolverState, _loss_terms
+from fttim.engine import SolverState, _Step
 
 
 def _episode(seed=0, C=5, d=16, sep=1.5, sd=0.5, qpc=4, heldout=0):
@@ -73,6 +73,20 @@ def test_posteriors_stable_matches_naive_form():
 
 
 # --- loss terms -----------------------------------------------------------
+
+def _loss_terms(p_support, labels, p_query, cfg):
+    """Loss terms of the given posterior rows, through the solver step."""
+    C = p_support.shape[1]
+    episode = Episode(
+        num_classes=C,
+        dim=C,
+        support_labels=labels,
+        support_vectors=np.eye(C)[labels],
+        query_vectors=np.ones((len(p_query), C)) / math.sqrt(C),
+        query_hidden_labels=np.zeros(len(p_query), dtype=np.int64),
+    )
+    return _Step(episode, cfg).loss_terms(np.vstack([p_support, p_query]))
+
 
 def test_loss_terms_definitional_extremes():
     cfg = TimConfig(lambda_ce=1.0, alpha_cond=1.0)

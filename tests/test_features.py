@@ -73,6 +73,34 @@ def test_row_count_mismatch(tmp_path):
         load_feature_bank(p)
 
 
+@pytest.mark.parametrize("text, line, what", [
+    ("d=2 n=1\r\n 0 , 1.5 , 2.0 \r\n", 1, "malformed header"),
+    ("d=2 n=2\n0,1.5,2.0\r\n1,0.5,0.5\r\n", 2, "carriage return"),
+    ("d=2 n=2\n0,1.5,2.0\n1, 0.5,0.5\n", 3, "fields must not be padded"),
+    ("d=2 n=2\n0,1.5,2.0\n 1,0.5,0.5\n", 3, "fields must not be padded"),
+    ("d=2 n=2\n0,1.5,2.0\n1,0.5,0.5 \n", 3, "fields must not be padded"),
+    ("d=2 n=1\n0,1.5,\t2.0\n", 2, "fields must not be padded"),
+    ("d=2 n=1\n0,1_5,2.0\n", 2, "underscore"),
+    ("d=2 n=2\n0,1.5,2.0\n1_0,0.5,0.5\n", 3, "underscore"),
+    ("d=2 n=1\n0,1.5,\u00a02.0\n", 2, "non-ASCII"),
+    ("d=2 n=1\n0,1.5,\u0662.0\n", 2, "non-ASCII"),
+])
+def test_padding_line_endings_and_underscores_rejected(tmp_path, text, line, what):
+    # int() and float() would accept every one of these fields
+    p = _write(tmp_path, text)
+    with pytest.raises(FeatureFormatError, match=f"line {line}: .*{what}"):
+        load_feature_bank(p)
+
+
+def test_large_finite_values_load(tmp_path):
+    # the row sum overflows, but every value is finite
+    p = _write(tmp_path, "d=2 n=2\n0,1e308,1e308\n1,-1.5,inf\n")
+    with pytest.raises(FeatureFormatError, match="line 3: non-finite"):
+        load_feature_bank(p)
+    p = _write(tmp_path, "d=2 n=1\n0,1e308,1e308\n")
+    assert load_feature_bank(p).vectors.tolist() == [[1e308, 1e308]]
+
+
 def test_unknown_format_rejected(tmp_path):
     p = _write(tmp_path, "d=2 n=0\n")
     with pytest.raises(ValueError, match="format"):

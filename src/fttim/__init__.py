@@ -9,20 +9,12 @@ from .features import (
     SyntheticTaskSpec,
     class_separation_ratio,
     generate_synthetic_episode,
-    l2_normalize,
     l2_normalize_rows,
     load_feature_bank,
     sample_episode,
     write_feature_bank,
 )
-from .transform import (
-    TransformedFeature,
-    apply_transform,
-    init_transform,
-    norm_induced_map,
-    normalization_jacobian,
-    transform_jacobians,
-)
+from .transform import init_transform, norm_induced_map
 from .engine import (
     EpisodeFailure,
     LossTerms,

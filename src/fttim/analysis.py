@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _softmax_rows
+from .engine import _grad_raw, _grad_w, _pipeline, _softmax_rows
 from .features import Episode, SyntheticTaskSpec, generate_synthetic_episode
 from .transform import init_transform, norm_induced_map
 
@@ -94,6 +94,9 @@ class BoundCheck:
     bound_value: float
     gap: float
     tight_at_kkt: bool
+    # largest step-to-step increase of |gap| along the temperature sweep
+    # (negative when the gap shrinks at every step)
+    gap_rise: float
 
 
 @dataclass
@@ -104,22 +107,34 @@ class KMeansResult:
     trace: list[tuple[str, float]]
 
 
+def _map(X: np.ndarray, W: np.ndarray, normalized: bool) -> np.ndarray:
+    # normalized outputs come from the solver's own pipeline, which raises
+    # DegenerateVectorError (a ValueError) on a zero output
+    if normalized:
+        return _pipeline(X, W, True, "ft_tim")[0]
+    return norm_induced_map(X, W)
+
+
 def transformed_query_features(
     episode: Episode, W: np.ndarray, normalized: bool = False
 ) -> np.ndarray:
     """Query features under the map: raw outputs, or unit-normalized ones."""
-    raw = norm_induced_map(episode.query_vectors, W)
-    if not normalized:
-        return raw
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero transformed feature")
-    return raw / norms[:, None]
+    return _map(episode.query_vectors, W, normalized)
 
 
 def squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     diff = features[:, None, :] - prototypes[None, :, :]
     return np.sum(diff * diff, axis=2)
+
+
+def _d2(episode: Episode, W: np.ndarray, prototypes: np.ndarray,
+        normalized: bool) -> np.ndarray:
+    return squared_distances(transformed_query_features(episode, W, normalized),
+                             prototypes)
+
+
+def _soft_rows(d2: np.ndarray, tau: float) -> np.ndarray:
+    return _softmax_rows(-(tau / 2.0) * d2)
 
 
 def _rows(assignments: AssignmentMatrix | np.ndarray) -> np.ndarray:
@@ -156,9 +171,7 @@ def kkt_soft_assignments(
 ) -> AssignmentMatrix:
     """Distance-softmax assignment rows, the closed-form minimizer of the
     temperature-consistent soft objective (see module docstring)."""
-    F = transformed_query_features(episode, W, normalized)
-    d2 = squared_distances(F, prototypes)
-    return AssignmentMatrix(_softmax_rows(-(tau / 2.0) * d2))
+    return AssignmentMatrix(_soft_rows(_d2(episode, W, prototypes, normalized), tau))
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
@@ -180,10 +193,24 @@ def clustering_term(
 ) -> float:
     """Softmax-weighted sum of squared distances (the K-means-like part of
     the query entropy)."""
-    F = transformed_query_features(episode, W, normalized)
-    d2 = squared_distances(F, prototypes)
-    p = _softmax_rows(-(tau / 2.0) * d2)
-    return _j_value(d2, p)
+    d2 = _d2(episode, W, prototypes, normalized)
+    return _j_value(d2, _soft_rows(d2, tau))
+
+
+def _decompose(d2: np.ndarray, tau: float) -> tuple[float, float, float, float]:
+    """(entropy, clustering, dispersion, relative residual) of the identity
+    -sum p log p = (tau/2) * clustering + dispersion at the distance-softmax
+    rows p. The two sides come from independent float paths: the entropy
+    from the probabilities themselves, the right side from distances and
+    log-sum-exps."""
+    logits = -(tau / 2.0) * d2
+    p = _softmax_rows(logits)
+    entropy = -float(np.sum(_xlogx(p)))
+    clustering = _j_value(d2, p)
+    dispersion = float(np.sum(_logsumexp_rows(logits)))
+    scale = (tau / 2.0) if _CLUSTERING_SCALE_OVERRIDE is None else _CLUSTERING_SCALE_OVERRIDE
+    residual = abs(entropy - (scale * clustering + dispersion)) / max(1.0, abs(entropy))
+    return entropy, clustering, dispersion, residual
 
 
 def entropy_decomposition(
@@ -201,20 +228,13 @@ def entropy_decomposition(
     evaluated at the distance-softmax assignments, where the K-means value
     coincides with the clustering term.
     """
-    F = transformed_query_features(episode, W, normalized)
-    d2 = squared_distances(F, prototypes)
-    logits = -(tau / 2.0) * d2
-    p = _softmax_rows(logits)
-    clustering = _j_value(d2, p)
-    dispersion = float(np.sum(_logsumexp_rows(logits)))
-    entropy = -float(np.sum(_xlogx(p)))
-    scale = (tau / 2.0) if _CLUSTERING_SCALE_OVERRIDE is None else _CLUSTERING_SCALE_OVERRIDE
-    residual = abs(entropy - (scale * clustering + dispersion))
-    if residual > 1e-8 * max(1.0, abs(entropy)):
+    entropy, clustering, dispersion, residual = _decompose(
+        _d2(episode, W, prototypes, normalized), tau)
+    if residual > 1e-8:
         raise InternalConsistencyError(
-            f"entropy decomposition identity violated by {residual:.3e}"
+            f"entropy decomposition identity violated by {residual:.3e} (relative)"
         )
-    barrier = (tau / 2.0) * float(np.sum(_xlogx(p)))
+    barrier = -(tau / 2.0) * entropy
     return ObjectiveBreakdown(
         kmeans_value=clustering,
         clustering_term=clustering,
@@ -231,20 +251,9 @@ def decomposition_residual(
     tau: float,
     normalized: bool = False,
 ) -> float:
-    """Relative residual of the entropy decomposition identity.
-
-    Computed from two independent float paths: the entropy from the softmax
-    probabilities themselves, the right side from distances and
-    log-sum-exps.
-    """
-    F = transformed_query_features(episode, W, normalized)
-    d2 = squared_distances(F, prototypes)
-    logits = -(tau / 2.0) * d2
-    p = _softmax_rows(logits)
-    entropy = -float(np.sum(_xlogx(p)))
-    scale = (tau / 2.0) if _CLUSTERING_SCALE_OVERRIDE is None else _CLUSTERING_SCALE_OVERRIDE
-    rhs = scale * _j_value(d2, p) + float(np.sum(_logsumexp_rows(logits)))
-    return abs(entropy - rhs) / max(1.0, abs(entropy))
+    """Relative residual of the entropy decomposition identity, from the two
+    independent float paths of :func:`entropy_decomposition`."""
+    return _decompose(_d2(episode, W, prototypes, normalized), tau)[3]
 
 
 def soft_assignment_objective(
@@ -277,21 +286,20 @@ def bound_check(
     Gaps are reported as data, not asserted: the bound is only approximate
     at finite temperature. ``tight_at_kkt`` records whether the gap at the
     softmax assignments shrinks monotonically in magnitude along the
-    temperature sweep.
+    temperature sweep; ``gap_rise`` is the largest step-to-step increase
+    of that magnitude.
     """
     q = _rows(assignments)
-    F = transformed_query_features(episode, W, normalized)
-    d2 = squared_distances(F, prototypes)
-    H = _j_value(d2, _softmax_rows(-(tau / 2.0) * d2))
+    d2 = _d2(episode, W, prototypes, normalized)
+    H = _j_value(d2, _soft_rows(d2, tau))
     bound = _j_value(d2, q) + barrier_value(q, tau)
     # at the softmax assignments J equals the clustering term, so the gap
     # reduces to the barrier; its magnitude should shrink with temperature
-    gaps = []
-    for t in sweep:
-        p_t = _softmax_rows(-(t / 2.0) * d2)
-        gaps.append(abs(barrier_value(p_t, t)))
+    gaps = [abs(barrier_value(_soft_rows(d2, t), t)) for t in sweep]
     tight = all(gaps[k + 1] <= gaps[k] + 1e-12 for k in range(len(gaps) - 1))
-    return BoundCheck(H_value=H, bound_value=bound, gap=bound - H, tight_at_kkt=tight)
+    rise = max((b - a for a, b in zip(gaps, gaps[1:])), default=-np.inf)
+    return BoundCheck(H_value=H, bound_value=bound, gap=bound - H,
+                      tight_at_kkt=tight, gap_rise=rise)
 
 
 def project_simplex_rows(V: np.ndarray) -> np.ndarray:
@@ -350,25 +358,6 @@ def _means_update(
     return theta
 
 
-def _j_grad_w(
-    X: np.ndarray,
-    W: np.ndarray,
-    theta: np.ndarray,
-    q_rows: np.ndarray,
-    normalized: bool,
-) -> np.ndarray:
-    raw = norm_induced_map(X, W)
-    if normalized:
-        norms = np.linalg.norm(raw, axis=1)
-        Z = raw / norms[:, None]
-        g_z = 2.0 * (Z - q_rows @ theta)
-        dot = np.sum(raw * g_z, axis=1, keepdims=True)
-        g_raw = g_z / norms[:, None] - raw * (dot / norms[:, None] ** 3)
-    else:
-        g_raw = 2.0 * (raw - q_rows @ theta)
-    return g_raw.T @ X - g_raw.sum(axis=0)[:, None] * W
-
-
 def _w_steps(
     X: np.ndarray,
     W: np.ndarray,
@@ -378,8 +367,15 @@ def _w_steps(
     steps: int,
     normalized: bool,
 ) -> np.ndarray:
+    # gradient steps on J through the solver's backward helpers; with simplex
+    # rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)
     for _ in range(steps):
-        W = W - lr * _j_grad_w(X, W, theta, q_rows, normalized)
+        if normalized:
+            f, raw, norms = _pipeline(X, W, True, "ft_tim")
+            grad_raw = _grad_raw(2.0 * (f - q_rows @ theta), raw, norms)
+        else:
+            grad_raw = 2.0 * (norm_induced_map(X, W) - q_rows @ theta)
+        W = W - lr * _grad_w(grad_raw, X, W, True)
     return W
 
 
@@ -420,10 +416,7 @@ def alternate_kmeans(
         else np.asarray(init_W, dtype=np.float64).copy()
     )
     if init_prototypes is None:
-        raw_s = norm_induced_map(episode.support_vectors, W)
-        if normalized:
-            raw_s = raw_s / np.linalg.norm(raw_s, axis=1)[:, None]
-        theta = raw_s.copy()
+        theta = _map(episode.support_vectors, W, normalized)
     else:
         theta = np.asarray(init_prototypes, dtype=np.float64).copy()
 
@@ -495,7 +488,7 @@ def mm_iteration(
         if assignment_mode == "hard":
             q = _hard_assign_rows(d2)
         else:
-            q = _softmax_rows(-(tau / 2.0) * d2)
+            q = _soft_rows(d2, tau)
         theta = _means_update(F, q, theta)
         if w_steps_per_round > 0 and lr_w > 0:
             W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round, normalized)
@@ -505,7 +498,7 @@ def mm_iteration(
             j_now = _j_value(d2, q)
             trace.append((j_now, j_now))
         else:
-            h_now = _j_value(d2, _softmax_rows(-(tau / 2.0) * d2))
+            h_now = _j_value(d2, _soft_rows(d2, tau))
             bound = _j_value(d2, q) + barrier_value(q, tau)
             trace.append((h_now, bound))
     return trace

@@ -8,6 +8,7 @@ fallback when neither a flag nor a config entry provides one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -15,17 +16,8 @@ from pathlib import Path
 from . import analysis, bench
 from .engine import TimConfig, UPDATE_RULES, VARIANTS
 
-_TIM_FIELDS = (
-    "tau",
-    "lambda_ce",
-    "alpha_cond",
-    "iterations",
-    "transform_start",
-    "lr_theta",
-    "lr_w",
-    "update_rule",
-    "seed",
-)
+# every solver field has a --tim-* flag; the variant comes from the command
+_TIM_FIELDS = tuple(f.name for f in dataclasses.fields(TimConfig) if f.name != "variant")
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -64,7 +56,6 @@ def _add_tim_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--tim-lr-theta", type=float, default=None)
     group.add_argument("--tim-lr-w", type=float, default=None)
     group.add_argument("--tim-update-rule", choices=UPDATE_RULES, default=None)
-    group.add_argument("--tim-seed", type=int, default=None)
 
 
 def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -151,14 +142,12 @@ def _source(args):
     )
 
 
-def _tim_config(args, variant: str, base_seed: int,
-                parser: argparse.ArgumentParser) -> TimConfig:
+def _tim_config(args, variant: str, parser: argparse.ArgumentParser) -> TimConfig:
     overrides = {"variant": variant}
     for name in _TIM_FIELDS:
         value = getattr(args, f"tim_{name}")
         if value is not None:
             overrides[name] = value
-    overrides.setdefault("seed", base_seed)
     try:
         return TimConfig(**overrides)
     except ValueError as exc:
@@ -169,7 +158,7 @@ def _cmd_evaluate(args, parser, argv) -> int:
     _merge_config_file(args, parser, argv)
     _validate_campaign(args, parser)
     seed = _resolve_seed(args)
-    config = _tim_config(args, args.variant, seed, parser)
+    config = _tim_config(args, args.variant, parser)
     workers = args.workers or bench.default_workers()
     report = bench.evaluate(_source(args), config, args.episodes, seed, workers)
     print(report.table())
@@ -184,7 +173,7 @@ def _cmd_compare(args, parser, argv) -> int:
     _merge_config_file(args, parser, argv)
     _validate_campaign(args, parser)
     seed = _resolve_seed(args)
-    config = _tim_config(args, "ft_tim", seed, parser)
+    config = _tim_config(args, "ft_tim", parser)
     workers = args.workers or bench.default_workers()
     report = bench.compare(_source(args), config, args.episodes, seed, workers)
     print(report.table())
@@ -231,7 +220,7 @@ def _cmd_export(args, parser, argv) -> int:
     if not args.out:
         parser.error("--out directory is required for export-embeddings")
     seed = _resolve_seed(args)
-    config = _tim_config(args, args.variant, seed, parser)
+    config = _tim_config(args, args.variant, parser)
     result = bench.export_embeddings(_source(args), config, seed, args.out)
     for name, path in result.paths.items():
         print(f"{name}: {path}")

@@ -21,6 +21,7 @@ are exact and flow through the map and its post-normalization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -68,7 +69,6 @@ class TimConfig:
     lr_w: float = 0.01
     update_rule: str = "adaptive_moment"
     variant: str = "ft_tim"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -256,19 +256,39 @@ class _Step:
         grad_z -= np.add.reduce(G, axis=1)[:, None] * z
         grad_z *= cfg.tau
 
-        # z = r/||r||  =>  J^T g = g/||r|| - r (r.g)/||r||^3
-        raw, n = self.raw, self.norms[:, None]
-        dot = np.add.reduce(raw * grad_z, axis=1, keepdims=True)
-        grad_raw = grad_z
-        grad_raw /= n
-        grad_raw -= raw * (dot / n**3)
+        grad_raw = _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
+        return grad_theta, _grad_w(grad_raw, self.X, self.W,
+                                   cfg.variant != "linear_transform",
+                                   out=self.grad_W, scratch=self.scratch)
 
-        grad_W = np.matmul(grad_raw.T, self.X, out=self.grad_W)
-        if cfg.variant != "linear_transform":
-            # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
-            col = np.add.reduce(grad_raw, axis=0)
-            grad_W -= np.multiply(col[:, None], self.W, out=self.scratch)
-        return grad_theta, grad_W
+
+def _grad_raw(
+    grad_z: np.ndarray, raw: np.ndarray, norms: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Back through z = r/||r||: J^T g = g/||r|| - r (r.g)/||r||^3, row-wise.
+
+    ``out`` may be ``grad_z`` itself."""
+    n = norms[:, None]
+    dot = np.add.reduce(raw * grad_z, axis=1, keepdims=True)
+    grad_raw = np.divide(grad_z, n, out=out)
+    grad_raw -= raw * (dot / n**3)
+    return grad_raw
+
+
+def _grad_w(
+    grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray, norm_induced: bool,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradient w.r.t. W from the gradient w.r.t. the raw map outputs, for the
+    norm-induced map or (``norm_induced=False``) the linear map X W^T.
+    ``out`` and ``scratch`` may be d x d float64 buffers."""
+    grad_W = np.matmul(grad_raw.T, X, out=out)
+    if norm_induced:
+        # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
+        col = np.add.reduce(grad_raw, axis=0)
+        grad_W -= np.multiply(col[:, None], W, out=scratch)
+    return grad_W
 
 
 def tim_loss(episode: Episode, state: SolverState, config: TimConfig) -> LossTerms:
@@ -347,40 +367,44 @@ def run_ft_tim(
     after j updates. Deterministic for a fixed (episode, config).
 
     Raises:
-        EpisodeFailure: on a degenerate transform output or non-finite
-            gradient; carries the failing iteration.
+        EpisodeFailure: on a degenerate transform output, a non-finite loss
+            or a non-finite gradient; carries the failing iteration.
     """
     step = _Step(episode, config)
     support_x = step.X[:step.ns]
     theta = _init_prototypes(support_x, step.labels, episode.num_classes)
-    W = init_transform(support_x, mode="gram")
+    W = init_transform(support_x)
     adaptive = config.update_rule == "adaptive_moment"
     adam_theta = _Adam(theta.shape) if adaptive else None
     adam_w = _Adam(W.shape) if adaptive else None
     trace: list[tuple[float, float, float]] = []
 
-    # the last pass, at iteration index `iterations`, only scores the queries
-    for it in range(config.iterations + 1):
-        active = transform_active(it, config)
-        try:
-            terms = step.forward(W, theta, active)
-        except DegenerateVectorError as exc:
-            raise EpisodeFailure(str(exc), iteration=it) from exc
-        trace.append((terms.cross_entropy, terms.conditional_entropy,
-                      terms.marginal_term))
-        if it == config.iterations:
-            break
-        if on_iteration is not None:
-            on_iteration(it, step.p_q, terms)
+    # the last pass, at iteration index `iterations`, only scores the queries;
+    # overflow shows as a non-finite loss, so numpy need not warn about it
+    with np.errstate(all="ignore"):
+        for it in range(config.iterations + 1):
+            active = transform_active(it, config)
+            try:
+                terms = step.forward(W, theta, active)
+            except DegenerateVectorError as exc:
+                raise EpisodeFailure(str(exc), iteration=it) from exc
+            if not math.isfinite(terms.total):
+                raise EpisodeFailure("non-finite loss", iteration=it)
+            trace.append((terms.cross_entropy, terms.conditional_entropy,
+                          terms.marginal_term))
+            if it == config.iterations:
+                break
+            if on_iteration is not None:
+                on_iteration(it, step.p_q, terms)
 
-        grad_theta, grad_W = step.backward()
-        if not _all_finite(grad_theta):
-            raise EpisodeFailure("non-finite prototype gradient", iteration=it)
-        if grad_W is not None:
-            if not _all_finite(grad_W):
-                raise EpisodeFailure("non-finite transform gradient", iteration=it)
-            _update(W, grad_W, config.lr_w, adam_w)
-        _update(theta, grad_theta, config.lr_theta, adam_theta)
+            grad_theta, grad_W = step.backward()
+            if not _all_finite(grad_theta):
+                raise EpisodeFailure("non-finite prototype gradient", iteration=it)
+            if grad_W is not None:
+                if not _all_finite(grad_W):
+                    raise EpisodeFailure("non-finite transform gradient", iteration=it)
+                _update(W, grad_W, config.lr_w, adam_w)
+            _update(theta, grad_theta, config.lr_theta, adam_theta)
 
     state = SolverState(
         prototypes=theta,

@@ -35,22 +35,6 @@ class DegenerateVectorError(ValueError):
     """An operation would have to normalize a zero vector."""
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean length, preserving its direction.
-
-    Raises:
-        ValueError: if ``v`` has non-finite components.
-        DegenerateVectorError: if ``v`` is the zero vector.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite components")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise DegenerateVectorError("cannot normalize a zero vector")
-    return v / norm
-
-
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of a 2-D array."""
     X = np.asarray(X, dtype=np.float64)

@@ -6,7 +6,6 @@ the same fitted state, which is bitwise-identical to run_semi_supervised;
 see test_engine.test_semi_supervised_equals_predict_on_fitted_state).
 """
 
-import itertools
 import json
 import re
 import time
@@ -14,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-import fttim.analysis as analysis
+import fttim.bench as bench
 from fttim import (
     FeatureBank,
     SyntheticTaskSpec,
@@ -82,101 +81,35 @@ def test_gradient_correctness():
     )
 
 
-# --- 2. decomposition identity -------------------------------------------------
+# --- 2-5. theory properties ----------------------------------------------------
+# The same property checks that `fttim verify-theory` runs, at these counts
+# and seeds.
+
+def _report_property(result) -> None:
+    print(result.line())
+    assert result.ok, result.line()
+
 
 def test_decomposition_identity():
     start = time.perf_counter()
-    worst = 0.0
-    for i in range(1000):
-        episode, W, theta = analysis.make_random_instance(i)
-        worst = max(worst, analysis.decomposition_residual(episode, W, theta,
-                                                           tau=15.0))
+    result = bench.decomposition_property(1000, first_seed=0)
     wall = time.perf_counter() - start
-    _report(
-        "entropy decomposition identity (1000 instances)",
-        worst <= 1e-10 and wall < 10.0,
-        f"worst rel residual {worst:.2e} (limit 1e-10), {wall:.1f}s (limit 10s)",
-    )
+    _report_property(result)
+    _report("entropy decomposition identity wall time", wall < 10.0,
+            f"{wall:.1f}s (limit 10s)")
 
-
-# --- 3. closed-form assignments vs numeric minimizer ---------------------------
 
 def test_kkt_minimizer():
-    worst = 0.0
-    for i in range(100):
-        episode, W, theta = analysis.make_random_instance(10_000 + i)
-        F = analysis.transformed_query_features(episode, W)
-        d2 = analysis.squared_distances(F, theta)
-        closed = analysis.kkt_soft_assignments(episode, W, theta, tau=0.01).rows
-        numeric = analysis.minimize_soft_assignment_rows(d2, tau=0.01)
-        worst = max(worst, float(np.max(np.abs(closed - numeric))))
-    _report(
-        "closed-form soft assignments vs numeric simplex minimizer (tau=0.01)",
-        worst <= 1e-6,
-        f"worst max deviation {worst:.2e} (limit 1e-6)",
-    )
-
-
-# --- 4. Lloyd monotonicity and brute-force oracle -------------------------------
-
-def _brute_force_best_j(F: np.ndarray, C: int) -> float:
-    best = np.inf
-    for labels in itertools.product(range(C), repeat=F.shape[0]):
-        labels = np.asarray(labels)
-        j = 0.0
-        for c in range(C):
-            members = F[labels == c]
-            if len(members):
-                j += float(np.sum((members - members.mean(axis=0)) ** 2))
-        best = min(best, j)
-    return best
+    _report_property(bench.kkt_property(100, first_seed=10_000))
 
 
 def test_lloyd_brute_force_and_monotonicity():
-    hits = 0
-    monotone_violations = 0
-    for i in range(200):
-        episode, W, _ = analysis.make_random_instance(
-            20_000 + i, num_classes=2, queries_per_class=2, dim=2,
-            separation=3.0, stddev=0.3,
-        )
-        result = analysis.alternate_kmeans(episode, max_rounds=50,
-                                           w_steps_per_round=0, init_W=W)
-        values = [v for _, v in result.trace]
-        if any(values[k + 1] > values[k] + 1e-9 for k in range(len(values) - 1)):
-            monotone_violations += 1
-        F = analysis.transformed_query_features(episode, W)
-        target = _brute_force_best_j(F, 2)
-        if abs(values[-1] - target) <= 1e-9 * max(1.0, target):
-            hits += 1
-    _report(
-        "Lloyd brute-force optimum + monotone trace (200 micro instances)",
-        hits == 200 and monotone_violations == 0,
-        f"optimum {hits}/200, monotone violations {monotone_violations}",
-    )
+    _report_property(bench.lloyd_property(200, first_seed=20_000))
 
-
-# --- 5. majorize-minimize behavior ----------------------------------------------
 
 def test_mm_descent_and_gap_sweep():
-    descent_ok = 0
-    sweep_ok = 0
-    for i in range(500):
-        episode, W, theta = analysis.make_random_instance(30_000 + i)
-        h0 = analysis.clustering_term(episode, W, theta, tau=1e-3)
-        trace = analysis.mm_iteration(episode, W, theta, tau=1e-3, rounds=5)
-        series = [h0] + [h for h, _ in trace]
-        if all(series[k + 1] <= series[k] + 1e-6 for k in range(len(series) - 1)):
-            descent_ok += 1
-        q = analysis.kkt_soft_assignments(episode, W, theta, tau=1.0)
-        if analysis.bound_check(episode, W, theta, tau=1.0,
-                                assignments=q).tight_at_kkt:
-            sweep_ok += 1
-    _report(
-        "MM descent at tau=1e-3 (>=99%) and gap sweep shrinkage (>=95%)",
-        descent_ok >= 495 and sweep_ok >= 475,
-        f"descent {descent_ok}/500 (need 495), sweep {sweep_ok}/500 (need 475)",
-    )
+    _report_property(bench.mm_property(500, first_seed=30_000))
+    _report_property(bench.sweep_property(500, first_seed=30_000))
 
 
 # --- 6 & 7. paired synthetic campaign -------------------------------------------

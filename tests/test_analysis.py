@@ -1,6 +1,5 @@
 """Clustering-side theory checks: objective, decomposition, bound, MM rounds."""
 
-import itertools
 import math
 
 import numpy as np
@@ -13,22 +12,22 @@ from fttim import (
     InternalConsistencyError,
     alternate_kmeans,
     bound_check,
-    clustering_term,
     entropy_decomposition,
     kkt_soft_assignments,
     kmeans_objective,
     make_random_instance,
-    minimize_soft_assignment_rows,
     mm_iteration,
     project_simplex_rows,
     soft_assignment_objective,
 )
 from fttim.analysis import (
+    _w_steps,
     barrier_value,
     decomposition_residual,
     squared_distances,
     transformed_query_features,
 )
+import fttim.bench as bench
 
 
 def _manual_equidistant_instance():
@@ -170,13 +169,8 @@ def test_kkt_hard_limit_at_large_tau():
 
 
 def test_kkt_matches_projected_gradient_oracle():
-    for seed in range(10):
-        episode, W, theta = make_random_instance(seed + 50)
-        F = transformed_query_features(episode, W)
-        d2 = squared_distances(F, theta)
-        closed = kkt_soft_assignments(episode, W, theta, tau=0.01).rows
-        numeric = minimize_soft_assignment_rows(d2, tau=0.01)
-        assert np.max(np.abs(closed - numeric)) <= 1e-6
+    result = bench.kkt_property(10, first_seed=50)
+    assert result.ok and result.passed == 10, result.line()
 
 
 def test_kkt_minimizes_soft_objective_against_perturbations():
@@ -253,31 +247,17 @@ def test_one_round_frozen_w_is_plain_lloyd():
         np.testing.assert_allclose(result.prototypes[c], expected, atol=1e-12)
 
 
-def _brute_force_best_j(F, C):
-    best = np.inf
-    for labels in itertools.product(range(C), repeat=F.shape[0]):
-        labels = np.asarray(labels)
-        j = 0.0
-        for c in range(C):
-            members = F[labels == c]
-            if len(members):
-                j += float(np.sum((members - members.mean(axis=0)) ** 2))
-        best = min(best, j)
-    return best
-
-
 def test_micro_instances_reach_enumeration_optimum():
     # well-separated micro clouds: single-start Lloyd provably cannot escape
     # local minima, so the suite keeps the optimum inside the init's basin
-    for seed in range(50):
-        episode, W, _ = make_random_instance(seed + 200, num_classes=2,
-                                             queries_per_class=2, dim=2,
-                                             separation=3.0, stddev=0.3)
-        result = alternate_kmeans(episode, max_rounds=50, w_steps_per_round=0,
-                                  init_W=W)
-        F = transformed_query_features(episode, W)
-        target = _brute_force_best_j(F, 2)
-        assert result.trace[-1][1] == pytest.approx(target, abs=1e-9)
+    result = bench.lloyd_property(50, first_seed=200)
+    assert result.ok and result.passed == 50, result.line()
+
+
+def test_brute_force_oracle_on_a_hand_case():
+    # two tight pairs far apart: the optimum splits the pairs, J = 2 * 0.5
+    F = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
+    assert bench._brute_force_best_j(F, 2) == 1.0
 
 
 def test_j_trace_never_increases_with_small_w_steps():
@@ -290,6 +270,27 @@ def test_j_trace_never_increases_with_small_w_steps():
         if any(values[k + 1] > values[k] + 1e-9 for k in range(len(values) - 1)):
             violations += 1
     assert violations == 0
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_w_step_gradient_matches_central_differences(normalized):
+    # one step at lr=1 reads back the gradient of J that the W steps of
+    # alternate_kmeans and mm_iteration follow
+    rtol, atol, h = 1e-4, 1e-7, 1e-5
+    for seed in range(3):
+        episode, W, theta = make_random_instance(seed + 400)
+        if normalized:
+            theta = theta / np.linalg.norm(theta, axis=1, keepdims=True)
+        q = kkt_soft_assignments(episode, W, theta, tau=2.0, normalized=normalized)
+        grad = W - _w_steps(episode.query_vectors, W, theta, q.rows, lr=1.0,
+                            steps=1, normalized=normalized)
+        for idx in np.ndindex(W.shape):
+            plus, minus = W.copy(), W.copy()
+            plus[idx] += h
+            minus[idx] -= h
+            fd = (kmeans_objective(episode, plus, theta, q, normalized)
+                  - kmeans_objective(episode, minus, theta, q, normalized)) / (2 * h)
+            assert abs(grad[idx] - fd) <= rtol * max(atol / rtol, abs(grad[idx]), abs(fd))
 
 
 def test_empty_cluster_keeps_previous_prototype():
@@ -323,15 +324,8 @@ def test_mm_zero_rounds_empty_trace():
 
 
 def test_mm_descent_at_small_tau():
-    failures = 0
-    for seed in range(50):
-        episode, W, theta = make_random_instance(seed + 300)
-        h0 = clustering_term(episode, W, theta, tau=0.001)
-        trace = mm_iteration(episode, W, theta, tau=0.001, rounds=5)
-        series = [h0] + [h for h, _ in trace]
-        if any(series[k + 1] > series[k] + 1e-6 for k in range(len(series) - 1)):
-            failures += 1
-    assert failures == 0
+    result = bench.mm_property(50, first_seed=300)
+    assert result.passed == 50, result.line()
 
 
 def test_mm_hard_frozen_matches_lloyd_trace_exactly():

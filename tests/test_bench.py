@@ -73,6 +73,7 @@ def test_config_echo_round_trips_into_identical_run(tmp_path):
     assert main(_fast_args(episodes=6, extra=["--out", str(out)])) == 0
     payload = json.loads(out.read_text())
     echo = payload["config_echo"]
+    assert "seed" not in echo["tim"]
     source_args = {k: v for k, v in echo["source"].items() if k != "kind"}
     rebuilt = bench.evaluate(
         bench.SyntheticSource(**source_args),
@@ -151,6 +152,20 @@ def test_config_file_unknown_key(tmp_path, capsys):
         main(_fast_args(extra=["--config", str(cfg)]))
     assert exc.value.code == 2
     assert "bogus-key" in capsys.readouterr().err
+
+
+def test_tim_seed_is_not_an_option(tmp_path, capsys):
+    # the solver's initialization is deterministic, so no solver seed exists
+    with pytest.raises(SystemExit) as exc:
+        main(_fast_args(extra=["--tim-seed", "1"]))
+    assert exc.value.code == 2
+    assert "--tim-seed" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# solver\ntim_seed=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(_fast_args(extra=["--config", str(cfg)]))
+    assert exc.value.code == 2
+    assert "line 2: unknown key 'tim_seed'" in capsys.readouterr().err
 
 
 # --- failure propagation -----------------------------------------------------
@@ -354,6 +369,22 @@ def test_compare_with_every_pair_failed_writes_strict_json(tmp_path, capsys):
     assert len(rows) == 2 and all(row.split()[1] == "n/a" for row in rows)
 
 
+def test_overflowing_final_pass_is_a_failure_not_a_score(tmp_path):
+    # the update at iteration 0 overflows the map, so the final scoring pass
+    # is non-finite: the episode fails there instead of scoring argmax of NaN
+    out = tmp_path / "r.json"
+    code = main([
+        "evaluate", "--synthetic", "--episodes", "2", "--workers", "1",
+        "--tim-lr-w", "1e300", "--tim-transform-start", "0",
+        "--tim-iterations", "1", "--out", str(out),
+    ])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["mean_accuracy"] is None
+    assert [(e["failure_flag"], e["iterations_run"]) for e in payload["per_episode"]] \
+        == [(True, 1), (True, 1)]
+
+
 # --- verify-theory ------------------------------------------------------------
 
 _SMALL_THEORY = [
@@ -368,6 +399,10 @@ def test_verify_theory_small_run_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "decomposition identity" in out
+    # every property reports its worst-case value
+    lines = [line for line in out.splitlines() if line.startswith("PASS")]
+    assert all(re.fullmatch(r"PASS  .+: \d+/\d+  \(.+ [-+]?\d\.\d\de[-+]\d+\)", line)
+               for line in lines), lines
 
 
 def test_verify_theory_tamper_canary_fails(capsys):

@@ -1,6 +1,7 @@
 """Solver tests: posteriors, loss, exact gradients, and the inference loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fttim import (
     tim_gradients,
     tim_loss,
 )
+from fttim.bench import SyntheticSource
 from fttim.engine import SolverState, _Step
 
 
@@ -357,6 +359,20 @@ def test_degenerate_transform_aborts_with_iteration():
     with pytest.raises(EpisodeFailure) as exc:
         run_ft_tim(episode, cfg)
     assert exc.value.iteration == 3
+
+
+def test_overflowing_transform_fails_at_the_non_finite_loss():
+    # the first Adam step sends W to ~1e300, so the next pass overflows
+    episode = SyntheticSource().episode(2)
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EpisodeFailure) as exc:
+            run_ft_tim(episode, TimConfig(lr_w=1e300, transform_start=0, iterations=3),
+                       on_iteration=lambda it, p_q, terms: seen.append(it))
+    assert exc.value.iteration == 1
+    assert str(exc.value) == "iteration 1: non-finite loss"
+    assert seen == [0]
 
 
 def test_hidden_labels_cannot_influence_predictions():

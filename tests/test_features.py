@@ -10,7 +10,7 @@ from fttim import (
     SyntheticTaskSpec,
     class_separation_ratio,
     generate_synthetic_episode,
-    l2_normalize,
+    l2_normalize_rows,
     load_feature_bank,
     sample_episode,
     write_feature_bank,
@@ -121,24 +121,24 @@ def test_write_load_write_byte_identical(tmp_path):
 # --- normalization --------------------------------------------------------
 
 def test_l2_normalize_345_triangle():
-    np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+    np.testing.assert_allclose(l2_normalize_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
 
 def test_l2_normalize_unit_vector_fixed_point():
-    v = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(l2_normalize(v), v)
+    v = np.array([[1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(l2_normalize_rows(v), v)
 
 
 def test_l2_normalize_zero_raises():
     with pytest.raises(DegenerateVectorError):
-        l2_normalize(np.zeros(4))
+        l2_normalize_rows(np.zeros((1, 4)))
 
 
 def test_l2_normalize_norm_property():
     rng = np.random.default_rng(11)
     for _ in range(1000):
-        v = rng.standard_normal(6) * rng.uniform(0.01, 100)
-        assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) <= 1e-12
+        v = rng.standard_normal((1, 6)) * rng.uniform(0.01, 100)
+        assert abs(np.linalg.norm(l2_normalize_rows(v)) - 1.0) <= 1e-12
 
 
 # --- bank sampling --------------------------------------------------------

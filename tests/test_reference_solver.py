@@ -130,11 +130,17 @@ def reference_run(episode, config):
         except DegenerateVectorError as exc:
             raise EpisodeFailure(str(exc), iteration=iteration) from exc
 
+    def loss_terms(iteration, p):
+        terms = _loss_terms(p[:ns], labels, p[ns:], config)
+        if not np.isfinite(sum(terms)):
+            raise EpisodeFailure("non-finite loss", iteration=iteration)
+        return terms
+
     for it in range(config.iterations):
         active = transform_active(it, config)
         z, raw, norms = features(it)
         p = _posteriors(z, theta, config.tau)
-        trace.append(_loss_terms(p[:ns], labels, p[ns:], config))
+        trace.append(loss_terms(it, p))
         G = _logit_grads(p[:ns], labels, p[ns:], config)
         grad_theta, grad_W = _gradients(G, X, z, raw, norms, W, theta, config, active)
         if not np.all(np.isfinite(grad_theta)):
@@ -153,7 +159,7 @@ def reference_run(episode, config):
 
     z, _, _ = features(config.iterations)
     p = _posteriors(z, theta, config.tau)
-    trace.append(_loss_terms(p[:ns], labels, p[ns:], config))
+    trace.append(loss_terms(config.iterations, p))
     p_q = p[ns:]
     return np.argmax(p_q, axis=1), W, theta, p_q, p_q.mean(axis=0), trace
 

@@ -1,16 +1,74 @@
 """Norm-induced map: values, initialization, derivatives, constraints."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from fttim import (
-    DegenerateVectorError,
-    apply_transform,
-    init_transform,
-    norm_induced_map,
-    normalization_jacobian,
-    transform_jacobians,
-)
+from fttim import DegenerateVectorError, init_transform, norm_induced_map
+
+
+# --- single-vector oracles ----------------------------------------------------
+# The map of one vector in the direct norm form, and its exact derivatives,
+# written independently of the batched expanded form the package uses.
+
+@dataclass
+class TransformedFeature:
+    """Raw map output (all components <= 0) and its unit-normalized form."""
+
+    raw: np.ndarray
+    normalized: np.ndarray
+
+
+def check_transform_matrix(W, dim=None):
+    """Validate that W is a finite square matrix (optionally of a given dim)."""
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError(f"transform matrix must be square, got {W.shape}")
+    if dim is not None and W.shape[0] != dim:
+        raise ValueError(f"transform matrix is {W.shape[0]}x{W.shape[0]}, expected {dim}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("transform matrix has non-finite entries")
+    return W
+
+
+def apply_transform(x, W):
+    """Map a single vector and normalize the result; the raw output is the
+    zero vector only when x coincides with every row of W."""
+    x = np.asarray(x, dtype=np.float64)
+    W = check_transform_matrix(W, dim=x.shape[0])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input vector has non-finite components")
+    diff = x[None, :] - W
+    raw = -0.5 * np.sum(diff * diff, axis=1)
+    norm = float(np.linalg.norm(raw))
+    if norm == 0.0:
+        raise DegenerateVectorError("transform output is the zero vector")
+    return TransformedFeature(raw=raw, normalized=raw / norm)
+
+
+def transform_jacobians(x, W):
+    """(d_raw_d_rows, d_raw_d_x): row j of the first is d raw[j] / d w_j =
+    x - w_j (other rows of W do not touch raw[j]); row j of the second is
+    d raw[j] / d x = -(x - w_j)."""
+    x = np.asarray(x, dtype=np.float64)
+    W = check_transform_matrix(W, dim=x.shape[0])
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(W))):
+        raise ValueError("inputs must be finite")
+    diff = x[None, :] - W
+    return diff, -diff
+
+
+def normalization_jacobian(r):
+    """Jacobian of r -> r / ||r||, i.e. I/||r|| - r r^T / ||r||^3."""
+    r = np.asarray(r, dtype=np.float64)
+    norm = float(np.linalg.norm(r))
+    if norm == 0.0:
+        raise DegenerateVectorError("normalization Jacobian undefined at zero")
+    return np.eye(r.shape[0]) / norm - np.outer(r, r) / norm**3
+
+
+# --- the map -------------------------------------------------------------------
 
 
 def test_hand_case_d2():
@@ -73,20 +131,6 @@ def test_init_rejects_unnormalized_rows():
     S = np.array([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="normalized"):
         init_transform(S)
-
-
-def test_identity_like_mode_is_deterministic():
-    S = np.array([[1.0, 0.0], [0.0, 1.0]])
-    a = init_transform(S, mode="identity_like", eps=1e-3)
-    b = init_transform(S, mode="identity_like", eps=1e-3)
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(a, np.tile([0.5, 0.5], (2, 1)) + 1e-3 * np.eye(2))
-
-
-def test_unknown_init_mode():
-    S = np.array([[1.0, 0.0]])
-    with pytest.raises(ValueError, match="mode"):
-        init_transform(S, mode="random")
 
 
 def test_jacobian_zero_at_stationary_row():

@@ -4,7 +4,9 @@ verification sweeps, and embedding export.
 Campaign results are deterministic for a fixed (source, config, episode
 count, base seed): episode i always uses seed base_seed + i, outcomes are
 aggregated in episode order, and reports carry a config echo sufficient to
-reproduce the run. Worker count affects wall time only.
+reproduce the run. Episodes are solved in stacks (:class:`engine.Batch`)
+whose results do not depend on which episodes share a stack, so the worker
+count affects wall time only.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,12 +23,14 @@ import numpy as np
 
 from . import analysis
 from .engine import (
+    Batch,
     EpisodeFailure,
     TimConfig,
     VARIANTS,
     _pipeline,
     predict_features,
     run_ft_tim,
+    stack_limit,
     transform_active,
 )
 from .features import (
@@ -142,16 +145,11 @@ class EpisodeOutcome:
     error: str = ""
 
 
-def _run_episode(args) -> EpisodeOutcome:
-    source, config, seed = args
-    try:
-        episode = source.episode(seed)
-    except DegenerateVectorError as exc:
-        return EpisodeOutcome(seed, None, None, 0, True, f"episode input: {exc}")
-    try:
-        result = run_ft_tim(episode, config)
-    except EpisodeFailure as exc:
-        return EpisodeOutcome(seed, None, None, exc.iteration, True, str(exc))
+def _outcome(seed: int, episode: Episode, result, config: TimConfig) -> EpisodeOutcome:
+    """One episode's outcome from its solver result or failure: query
+    accuracy, and held-out accuracy when the episode has a held-out split."""
+    if isinstance(result, EpisodeFailure):
+        return EpisodeOutcome(seed, None, None, result.iteration, True, str(result))
     accuracy = float(np.mean(result.predictions == episode.query_hidden_labels))
     heldout_accuracy = None
     if episode.heldout_vectors is not None:
@@ -164,6 +162,82 @@ def _run_episode(args) -> EpisodeOutcome:
     return EpisodeOutcome(seed, accuracy, heldout_accuracy, result.state.iter, False)
 
 
+def _solve_stack(stack, config, variants, outcomes, seconds) -> None:
+    """Solves ``stack``, a list of (index, seed, episode) of same-shaped
+    episodes, once per variant into ``outcomes[variant][index]``, adding each
+    variant's solve time to ``seconds``. The first ``transform_start``
+    iterations are the same for every variant, so they run once and each
+    variant goes on from a copy of that state; their time is split evenly."""
+    start = time.perf_counter()
+    shared = Batch([episode for _, _, episode in stack], config).start()
+    shared.run(min(config.transform_start, config.iterations))
+    prefix = (time.perf_counter() - start) / len(variants)
+    for k, variant in enumerate(variants):
+        start = time.perf_counter()
+        cfg = dataclasses.replace(config, variant=variant)
+        batch = shared.fork(variant, share=k == len(variants) - 1)
+        batch.run(config.iterations)
+        for (i, seed, episode), result in zip(stack, batch.finish()):
+            outcomes[variant][i] = _outcome(seed, episode, result, cfg)
+        seconds[variant] += prefix + time.perf_counter() - start
+
+
+def _run_part(job) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
+    """Outcomes of a contiguous run of seeds for each variant, and each
+    variant's solve seconds. Consecutive same-shaped episodes are solved in
+    stacks of at most :func:`engine.stack_limit` of their dimension."""
+    source, config, variants, seeds = job
+    outcomes: dict[str, list] = {v: [None] * len(seeds) for v in variants}
+    seconds = dict.fromkeys(variants, 0.0)
+    stack: list[tuple[int, int, Episode]] = []
+    for i, seed in enumerate(seeds):
+        try:
+            episode = source.episode(seed)
+        except DegenerateVectorError as exc:
+            for v in variants:
+                outcomes[v][i] = EpisodeOutcome(seed, None, None, 0, True,
+                                                f"episode input: {exc}")
+            continue
+        if stack and (len(stack) == stack_limit(episode.dim)
+                      or _shape(stack[0][2]) != _shape(episode)):
+            _solve_stack(stack, config, variants, outcomes, seconds)
+            stack = []
+        stack.append((i, seed, episode))
+    if stack:
+        _solve_stack(stack, config, variants, outcomes, seconds)
+    return outcomes, seconds
+
+
+def _shape(episode: Episode) -> tuple:
+    return (episode.num_classes, episode.support_vectors.shape,
+            episode.query_vectors.shape)
+
+
+def _run_campaign(
+    source, config: TimConfig, variants: tuple[str, ...], episodes: int,
+    base_seed: int, workers: int,
+) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
+    """Outcomes of episodes base_seed .. base_seed+episodes-1, in order, for
+    each variant, and each variant's solve seconds. With more than one
+    worker, the pool gets ``workers`` contiguous runs of near-equal length
+    (fewer when there are fewer episodes)."""
+    seeds = range(base_seed, base_seed + episodes)
+    parts = min(episodes, workers) if workers > 1 else 1
+    jobs = [(source, config, variants, seeds[k * episodes // parts:(k + 1) * episodes // parts])
+            for k in range(parts)]
+    if len(jobs) <= 1:
+        results = [_run_part(job) for job in jobs]
+    else:
+        # the pool machinery costs import time, so only pools import it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_part, jobs))
+    outcomes = {v: [o for part, _ in results for o in part[v]] for v in variants}
+    seconds = {v: sum(part[v] for _, part in results) for v in variants}
+    return outcomes, seconds
+
+
 def run_episodes(
     source,
     config: TimConfig,
@@ -172,12 +246,9 @@ def run_episodes(
     workers: int = 1,
 ) -> list[EpisodeOutcome]:
     """Run episodes base_seed .. base_seed+episodes-1, in order."""
-    jobs = [(source, config, base_seed + i) for i in range(episodes)]
-    if workers <= 1:
-        return [_run_episode(j) for j in jobs]
-    chunk = max(1, episodes // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_episode, jobs, chunksize=chunk))
+    outcomes, _ = _run_campaign(source, config, (config.variant,), episodes,
+                                base_seed, workers)
+    return outcomes[config.variant]
 
 
 @dataclass
@@ -260,7 +331,12 @@ def evaluate(
     """
     start = time.perf_counter()
     outcomes = run_episodes(source, config, episodes, base_seed, workers)
-    wall = time.perf_counter() - start
+    return _eval_report(source, config, episodes, base_seed, outcomes,
+                        time.perf_counter() - start)
+
+
+def _eval_report(source, config: TimConfig, episodes: int, base_seed: int,
+                 outcomes: list[EpisodeOutcome], wall: float) -> EvalReport:
     semi = getattr(source, "heldout_per_class", 0) > 0
     scored = [
         (o.heldout_accuracy if semi else o.accuracy)
@@ -378,14 +454,24 @@ def compare(
     variants: tuple[str, ...] = VARIANTS,
 ) -> CompareReport:
     """Evaluate several variants on identical episodes (shared seeds) and
-    report per-variant means plus paired differences against ft_tim."""
+    report per-variant means plus paired differences against ft_tim.
+
+    The variants run in one campaign that solves their shared first
+    ``transform_start`` iterations once per episode. Each variant's
+    ``wall_time_s`` is its share of the campaign wall time, in proportion to
+    its solve time with the shared iterations split evenly, so the shares
+    sum to the campaign wall time."""
+    start = time.perf_counter()
+    outcomes, seconds = _run_campaign(source, config, tuple(variants), episodes,
+                                      base_seed, workers)
+    wall = time.perf_counter() - start
+    total = sum(seconds.values())
     reports: dict[str, EvalReport] = {}
     for variant in variants:
-        cfg = dataclasses.replace(config, variant=variant)
-        reports[variant] = evaluate(source, cfg, episodes, base_seed, workers)
-    seeds = [[o.seed for o in r.per_episode] for r in reports.values()]
-    if any(s != seeds[0] for s in seeds[1:]):
-        raise RuntimeError("variants were not run on identical seeds")
+        share = seconds[variant] / total if total > 0 else 1.0 / len(variants)
+        reports[variant] = _eval_report(
+            source, dataclasses.replace(config, variant=variant), episodes,
+            base_seed, outcomes[variant], wall * share)
     paired = []
     if "ft_tim" in reports:
         for other in variants:

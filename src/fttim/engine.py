@@ -20,11 +20,13 @@ are exact and flow through the map and its post-normalization.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +46,12 @@ UPDATE_RULES = ("plain_gradient", "adaptive_moment")
 # Clamp probabilities here before taking logs: keeps -inf out of the loss
 # without measurably moving 64-bit gradients.
 PROB_FLOOR = 1e-300
+
+# The smallest normal float64; see _too_small.
+_TINY = np.finfo(np.float64).tiny
+
+# Bytes of one stacked d x d array in a solver batch; see stack_limit.
+_STACK_BYTES = 1 << 19
 
 
 class EpisodeFailure(RuntimeError):
@@ -120,9 +128,10 @@ class SemiSupervisedResult(NamedTuple):
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def posteriors(
@@ -130,15 +139,16 @@ def posteriors(
     f2: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distance-softmax class posteriors, one simplex row per feature row.
+    Stacks of (features, prototypes) along leading axes give stacked rows.
 
     ``f2`` may pass in the squared row norms of ``features`` when the caller
     already has them."""
     if f2 is None:
-        f2 = np.einsum("ij,ij->i", features, features)
-    p2 = np.einsum("ij,ij->i", prototypes, prototypes)
-    d2 = features @ prototypes.T
+        f2 = np.einsum("...ij,...ij->...i", features, features)
+    p2 = np.einsum("...ij,...ij->...i", prototypes, prototypes)
+    d2 = features @ prototypes.swapaxes(-1, -2)
     d2 *= 2.0
-    np.subtract(np.add.outer(f2, p2), d2, out=d2)
+    np.subtract(f2[..., :, None] + p2[..., None, :], d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     d2 *= -(tau / 2.0)
     return _softmax_rows(d2)
@@ -148,27 +158,57 @@ def transform_active(iteration: int, config: TimConfig) -> bool:
     return config.variant != "tim_baseline" and iteration >= config.transform_start
 
 
+def _transformed(
+    X: np.ndarray, W: np.ndarray, variant: str,
+    x_sq: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, norms): the variant's map outputs for one episode or a stack of
+    them, and their row norms. ``x_sq`` and ``scratch`` are passed on to
+    :func:`norm_induced_map`."""
+    if variant == "linear_transform":
+        raw = X @ W.swapaxes(-1, -2)
+    else:
+        raw = norm_induced_map(X, W, x_sq, scratch)
+    return raw, np.sqrt(np.add.reduce(raw * raw, axis=-1))
+
+
+def _too_small(norms: np.ndarray) -> np.ndarray | None:
+    """Per stacked episode (leading axes of ``norms``), whether some row norm
+    is too small to normalize, or None when no episode has one. The
+    normalization backprop divides by norm**3, so a norm whose cube falls
+    below the smallest normal float is too small; NaN norms are not."""
+    if not np.fmin.reduce(norms, axis=None, initial=np.inf) ** 3 < _TINY:
+        return None
+    return np.fmin.reduce(norms, axis=-1, initial=np.inf) ** 3 < _TINY
+
+
+def _degenerate_reason(norms: np.ndarray) -> str:
+    """Why one episode's transformed rows, with these norms, cannot be
+    normalized: the first row whose norm cubed underflows."""
+    row = int(np.flatnonzero(norms**3 < _TINY)[0])
+    if norms[row] == 0.0:
+        return f"transformed feature {row} is the zero vector"
+    return f"transformed feature {row} has norm {norms[row]:.3g}, too small to normalize"
+
+
 def _pipeline(
     X: np.ndarray, W: np.ndarray, active: bool, variant: str,
-    x_sq: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Features fed to the classifier: (z, raw, raw_norms).
 
     raw and raw_norms are None when the transform is inactive (z is then the
-    input itself, assumed unit-normalized). ``x_sq`` and ``scratch`` are
-    passed on to :func:`norm_induced_map`.
+    input itself, assumed unit-normalized).
+
+    Raises:
+        DegenerateVectorError: if a transformed row's norm cubed is below
+            the smallest normal float, zero included.
     """
     if not active:
         return X, None, None
-    if variant == "linear_transform":
-        raw = X @ W.T
-    else:
-        raw = norm_induced_map(X, W, x_sq, scratch)
-    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
-    if np.fmin.reduce(norms, initial=np.inf) == 0.0:  # fmin skips NaN norms
-        zero = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateVectorError(f"transformed feature {zero} is the zero vector")
-    return raw / norms[:, None], raw, norms
+    raw, norms = _transformed(X, W, variant)
+    if _too_small(norms) is not None:
+        raise DegenerateVectorError(_degenerate_reason(norms))
+    return raw / norms[..., None], raw, norms
 
 
 def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.ndarray:
@@ -179,81 +219,181 @@ def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.nd
     return theta
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+def _non_finite(a: np.ndarray) -> np.ndarray | None:
+    """Per stacked episode (leading axis), whether some entry is not finite,
+    or None when every entry is."""
+    # a finite sum proves every entry finite; overflow falls to the full check
+    if math.isfinite(np.add.reduce(a, axis=None)):
+        return None
+    finite = np.logical_and.reduce(np.isfinite(a).reshape(len(a), -1), axis=1)
+    return None if finite.all() else ~finite
 
 
-class _Step:
-    """The solver step of one episode: its constants and scratch buffers,
-    built once, and one fused forward and backward pass over them.
+def stack_limit(dim: int) -> int:
+    """Most episodes of feature dimension ``dim`` that one :class:`Batch`
+    should hold: as many as keep one stacked d x d array within
+    ``_STACK_BYTES``, so the stacked transform state (W, its gradient, the
+    Adam moments and scratch) stays cache-sized. One from d = 182 up."""
+    return max(1, _STACK_BYTES // (8 * dim * dim))
 
-    ``forward`` maps and normalizes the features (when the transform is
-    active), takes the posteriors and the loss terms, and keeps what
-    ``backward`` needs; ``backward`` returns the exact gradients at that
-    point. The posteriors and marginal are fresh arrays on every pass; the
-    W gradient lives in a buffer that the next backward pass overwrites.
+
+class Batch:
+    """The solver state of B same-shaped episodes, stacked along a leading
+    axis: the features X (B, n, d) with support rows first, the prototypes
+    (B, C, d), the transform W (B, d, d), their Adam moments, the loss
+    trace and the scratch buffers, with one fused forward and backward pass
+    over them.
+
+    Every reduction runs along per-episode axes and every product is a
+    stacked matmul, so each episode's slice goes through the same
+    floating-point operations in the same order as in a batch of one:
+    results do not depend on which episodes share a batch. An episode that
+    fails leaves the stack with its iteration and reason; the others go on.
+
+    ``run`` iterates, ``finish`` scores the queries in a last pass and
+    returns one result or failure per episode, and ``fork`` continues the
+    stack as another variant from a copy of its state.
     """
 
-    def __init__(self, episode: Episode, config: TimConfig):
-        support_x, labels, query_x = episode.solver_inputs()
+    def __init__(self, episodes: Sequence[Episode], config: TimConfig):
         self.config = config
-        self.ns, self.nq = len(support_x), len(query_x)
-        self.X = X = np.vstack([l2_normalize_rows(support_x), l2_normalize_rows(query_x)])
-        self.x_sq = np.add.reduce(X * X, axis=1)
-        self.f2 = np.einsum("ij,ij->i", X, X)  # squared norms of z = X when inactive
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.picks = (np.arange(self.ns), self.labels)
-        C, d = episode.num_classes, X.shape[1]
-        self.onehot = np.zeros((self.ns, C))
+        first = episodes[0]
+        B, C, (ns, d) = len(episodes), first.num_classes, first.support_vectors.shape
+        self.ns, self.nq = ns, len(first.query_vectors)
+        self.X = X = np.empty((B, ns + self.nq, d))
+        self.labels = np.empty((B, ns), dtype=np.int64)
+        for b, episode in enumerate(episodes):
+            if episode.num_classes != C:
+                raise ValueError("a batch needs episodes with the same number of classes")
+            sx, self.labels[b], qx = episode.solver_inputs()
+            X[b, :ns], X[b, ns:] = l2_normalize_rows(sx), l2_normalize_rows(qx)
+        self.x_sq = np.add.reduce(X * X, axis=2)
+        self.f2 = np.einsum("...ij,...ij->...i", X, X)  # squared norms of z = X when inactive
+        self.onehot = np.zeros((B, ns, C))
+        self.G = np.empty((B, X.shape[1], C))  # d loss / d logits, support rows first
+        self.scratch = np.empty((B, d, d))
+        self.grad_W = np.empty((B, d, d))
+        self.count = B
+        self.pos = np.arange(B)  # input positions of the episodes still on the stack
+        self.failures: dict[int, tuple[int, str]] = {}  # position: (iteration, reason)
+        self.it = 0
+        self.traces: list[list[tuple[float, float, float]]] = [[] for _ in range(B)]
+        self.W = self.theta = self.adam_w = self.adam_theta = None
+        self.z = self.raw = self.norms = self.p_s = self.p_q = None
+        self.logq = self.plogq = self.marginal = self.log_marginal = None
+        self._index()
         self.onehot[self.picks] = 1.0
-        self.G = np.empty((len(X), C))  # d loss / d logits, support rows first
-        self.scratch = np.empty((d, d))
-        self.grad_W = np.empty((d, d))
 
-    def forward(self, W: np.ndarray, theta: np.ndarray, active: bool) -> LossTerms:
-        self.W, self.theta, self.active = W, theta, active
-        self.z, self.raw, self.norms = _pipeline(
-            self.X, W, active, self.config.variant, self.x_sq, self.scratch)
-        f2 = None if active else self.f2
-        return self.loss_terms(posteriors(self.z, theta, self.config.tau, f2))
+    def _index(self) -> None:
+        """Index arrays and buffer views that depend on the stack's size."""
+        ns, G = self.ns, self.G
+        self.picks = (np.arange(len(self.pos))[:, None], np.arange(ns), self.labels)
+        self.G_s, self.G_q, self.G_T = G[:, :ns], G[:, ns:], G.swapaxes(1, 2)
 
-    def loss_terms(self, p: np.ndarray) -> LossTerms:
-        """Loss terms of stacked (support, query) posterior rows."""
+    def start(self) -> "Batch":
+        """Initial prototypes (the support class means), transform
+        (X_s^T X_s) and update rules."""
+        ns, C = self.ns, self.onehot.shape[2]
+        support = self.X[:, :ns]
+        self.theta = np.stack([_init_prototypes(s, l, C) for s, l in zip(support, self.labels)])
+        self.W = np.stack([init_transform(s) for s in support])
+        if self.config.update_rule == "adaptive_moment":
+            self.adam_theta, self.adam_w = _Adam(self.theta.shape), _Adam(self.W.shape)
+        return self
+
+    # stacked attributes that lose a failed episode's slice
+    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "scratch", "grad_W",
+                "pos", "W", "theta",
+                "z", "raw", "norms", "p_s", "p_q", "logq", "plogq", "marginal",
+                "log_marginal")
+
+    def _drop(self, failed: np.ndarray, reasons: str | list[str]) -> None:
+        """Take the flagged episodes off the stack, each keeping the current
+        iteration and its reason."""
+        lost = self.pos[failed]
+        if isinstance(reasons, str):
+            reasons = [reasons] * len(lost)
+        for pos, reason in zip(lost, reasons):
+            self.failures[int(pos)] = (self.it, reason)
+        keep = ~failed
+        for name in self._STACKED:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+        for adam in (self.adam_w, self.adam_theta):
+            if adam is not None:
+                adam.keep(keep)
+        self.traces = [t for t, k in zip(self.traces, keep) if k]
+        self._index()
+
+    def forward(self, active: bool) -> np.ndarray:
+        """Map and normalize the features (when the transform is active) and
+        return the stacked posterior rows, support rows first. An episode
+        whose transformed features cannot be normalized leaves the stack
+        first."""
+        cfg = self.config
+        self.active = active
+        if not active:
+            self.z = self.X
+            return posteriors(self.X, self.theta, cfg.tau, self.f2)
+        raw, norms = _transformed(self.X, self.W, cfg.variant, self.x_sq, self.scratch)
+        small = _too_small(norms)
+        if small is not None:
+            self._drop(small, [_degenerate_reason(n) for n in norms[small]])
+            raw, norms = raw[~small], norms[~small]
+        self.raw, self.norms = raw, norms
+        self.z = raw / norms[:, :, None]
+        return posteriors(self.z, self.theta, cfg.tau)
+
+    def loss_terms(self, p: np.ndarray) -> list[LossTerms]:
+        """The loss terms of each episode from its stacked (support, query)
+        posterior rows, keeping what ``backward`` needs."""
         cfg, ns, nq = self.config, self.ns, self.nq
-        self.p_s, self.p_q = p_s, p_q = p[:ns], p[ns:]
-        picked = np.maximum(p_s[self.picks], PROB_FLOOR)
-        ce = -(cfg.lambda_ce / ns) * float(np.add.reduce(np.log(picked)))
-        self.logq = np.log(np.maximum(p_q, PROB_FLOOR))
+        self.p_s, self.p_q = p[:, :ns], p[:, ns:]
+        p_q = self.p_q
+        log_p = np.log(np.maximum(p, PROB_FLOOR))
+        log_picked = np.add.reduce(log_p[self.picks], axis=1).tolist()
+        self.logq = log_p[:, ns:]
         self.plogq = p_q * self.logq
-        cond = -(cfg.alpha_cond / nq) * float(np.add.reduce(self.plogq, axis=None))
-        self.marginal = np.add.reduce(p_q, axis=0) / nq
+        plogq = np.add.reduce(self.plogq, axis=(1, 2)).tolist()
+        self.marginal = np.add.reduce(p_q, axis=1) / nq
         self.log_marginal = np.log(np.maximum(self.marginal, PROB_FLOOR))
-        marg = float(np.add.reduce(self.marginal * self.log_marginal))
-        return LossTerms(ce + cond + marg, ce, cond, marg)
+        margs = np.add.reduce(self.marginal * self.log_marginal, axis=1).tolist()
+        k_ce, k_cond = -(cfg.lambda_ce / ns), -(cfg.alpha_cond / nq)
+        terms = []
+        for a, b, marg in zip(log_picked, plogq, margs):
+            ce, cond = k_ce * a, k_cond * b
+            terms.append(LossTerms(ce + cond + marg, ce, cond, marg))
+        return terms
 
     def backward(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(d loss/d theta, d loss/d W) at the last forward pass; the W
-        gradient is None when the transform was inactive."""
+        gradient is None when the transform was inactive. The W gradient
+        lives in a buffer that the next backward pass overwrites."""
         cfg, ns, nq = self.config, self.ns, self.nq
         p_q, G, z, theta = self.p_q, self.G, self.z, self.theta
         # logit gradients: support rows, then query rows
-        np.subtract(self.p_s, self.onehot, out=G[:ns])
-        G[:ns] *= cfg.lambda_ce / ns
-        row_entropy = -np.add.reduce(self.plogq, axis=1)
-        g_cond = (cfg.alpha_cond / nq) * p_q * (-self.logq - row_entropy[:, None])
+        G_s = np.subtract(self.p_s, self.onehot, out=self.G_s)
+        G_s *= cfg.lambda_ce / ns
+        # -log p - (row entropy), the entropy being minus this row sum
+        centered = np.negative(self.logq)
+        centered += np.add.reduce(self.plogq, axis=2, keepdims=True)
+        g_cond = (cfg.alpha_cond / nq) * p_q
+        g_cond *= centered
         log_marginal = self.log_marginal / nq
-        g_marg = p_q * (log_marginal - (p_q @ log_marginal)[:, None])
-        np.add(g_cond, g_marg, out=G[ns:])
+        g_marg = log_marginal[:, None, :] - p_q @ log_marginal[:, :, None]
+        g_marg *= p_q
+        np.add(g_cond, g_marg, out=self.G_q)
 
         # the logit is -(tau/2)||theta_c - z_i||^2, so d/d theta_c is
         # -tau (theta_c - z_i) and d/d z_i is tau (theta_c - z_i)
-        grad_theta = np.add.reduce(G, axis=0)[:, None] * theta
-        grad_theta -= G.T @ z
+        grad_theta = np.add.reduce(G, axis=1)[:, :, None] * theta
+        grad_theta -= self.G_T @ z
         grad_theta *= -cfg.tau
         if not self.active:
             return grad_theta, None
         grad_z = G @ theta
-        grad_z -= np.add.reduce(G, axis=1)[:, None] * z
+        grad_z -= np.add.reduce(G, axis=2)[:, :, None] * z
         grad_z *= cfg.tau
 
         grad_raw = _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
@@ -261,16 +401,91 @@ class _Step:
                                    cfg.variant != "linear_transform",
                                    out=self.grad_W, scratch=self.scratch)
 
+    def _pass(self) -> list[LossTerms]:
+        """The forward pass at the current iteration, its loss terms in the
+        trace, and the episodes whose loss is not finite off the stack."""
+        terms = self.loss_terms(self.forward(transform_active(self.it, self.config)))
+        finite = [math.isfinite(t.total) for t in terms]
+        if not all(finite):
+            self._drop(~np.array(finite), "non-finite loss")
+            terms = [t for t, ok in zip(terms, finite) if ok]
+        for trace, t in zip(self.traces, terms):
+            trace.append(t[1:])
+        return terms
+
+    def run(
+        self, stop: int,
+        on_iteration: Callable[[int, np.ndarray, LossTerms], None] | None = None,
+    ) -> None:
+        """Update iterations from the current one up to ``stop``: a forward
+        pass, gradients, then W and the prototypes, each episode leaving
+        the stack at its first degenerate transform, non-finite loss or
+        non-finite gradient. ``on_iteration`` is for a batch of one."""
+        cfg = self.config
+        # overflow shows as a non-finite loss, so numpy need not warn about it
+        with np.errstate(all="ignore"):
+            while self.it < stop and len(self.pos):
+                terms = self._pass()
+                if on_iteration is not None and terms:
+                    on_iteration(self.it, self.p_q[0], terms[0])
+                grad_theta, grad_W = self.backward()
+                bad = _non_finite(grad_theta)
+                if bad is not None:
+                    self._drop(bad, "non-finite prototype gradient")
+                    grad_theta = grad_theta[~bad]
+                    grad_W = None if grad_W is None else grad_W[~bad]
+                if grad_W is not None:
+                    bad = _non_finite(grad_W)
+                    if bad is not None:
+                        self._drop(bad, "non-finite transform gradient")
+                        grad_theta, grad_W = grad_theta[~bad], grad_W[~bad]
+                    _update(self.W, grad_W, cfg.lr_w, self.adam_w)
+                _update(self.theta, grad_theta, cfg.lr_theta, self.adam_theta)
+                self.it += 1
+
+    def finish(self) -> list[RunResult | EpisodeFailure]:
+        """Score the queries in a last pass at the current iteration and
+        return each episode's result, or its failure, in input order."""
+        if len(self.pos):
+            with np.errstate(all="ignore"):
+                self._pass()
+        out: list = [None] * self.count
+        for pos, (iteration, reason) in self.failures.items():
+            out[pos] = EpisodeFailure(reason, iteration)
+        predictions = np.argmax(self.p_q, axis=2) if len(self.pos) else ()
+        for k, (pos, trace) in enumerate(zip(self.pos, self.traces)):
+            state = SolverState(prototypes=self.theta[k], W=self.W[k],
+                                posteriors=self.p_q[k], marginal=self.marginal[k],
+                                iter=self.it, loss_trace=trace)
+            out[pos] = RunResult(predictions[k], state, trace)
+        return out
+
+    def fork(self, variant: str, share: bool = False) -> "Batch":
+        """This stack, continued as ``variant``: a copy whose solver state
+        (prototypes, W, Adam moments, trace, failures) is its own, while the
+        constants and scratch buffers stay shared, so forks must run one
+        after another. With ``share``, the stack itself goes on instead."""
+        twin = self if share else copy.copy(self)
+        twin.config = dataclasses.replace(self.config, variant=variant)
+        if not share:
+            twin.theta, twin.W = self.theta.copy(), self.W.copy()
+            twin.traces = [list(t) for t in self.traces]
+            if self.adam_w is not None:
+                twin.adam_theta, twin.adam_w = self.adam_theta.copy(), self.adam_w.copy()
+            twin.failures = dict(self.failures)
+        return twin
+
 
 def _grad_raw(
     grad_z: np.ndarray, raw: np.ndarray, norms: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Back through z = r/||r||: J^T g = g/||r|| - r (r.g)/||r||^3, row-wise.
+    """Back through z = r/||r||: J^T g = g/||r|| - r (r.g)/||r||^3, row-wise,
+    for one episode or a stack of them.
 
     ``out`` may be ``grad_z`` itself."""
-    n = norms[:, None]
-    dot = np.add.reduce(raw * grad_z, axis=1, keepdims=True)
+    n = norms[..., None]
+    dot = np.add.reduce(raw * grad_z, axis=-1, keepdims=True)
     grad_raw = np.divide(grad_z, n, out=out)
     grad_raw -= raw * (dot / n**3)
     return grad_raw
@@ -281,21 +496,32 @@ def _grad_w(
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient w.r.t. W from the gradient w.r.t. the raw map outputs, for the
-    norm-induced map or (``norm_induced=False``) the linear map X W^T.
-    ``out`` and ``scratch`` may be d x d float64 buffers."""
-    grad_W = np.matmul(grad_raw.T, X, out=out)
+    norm-induced map or (``norm_induced=False``) the linear map X W^T, for
+    one episode or a stack of them. ``out`` and ``scratch`` may be float64
+    buffers shaped like W."""
+    grad_W = np.matmul(grad_raw.swapaxes(-1, -2), X, out=out)
     if norm_induced:
         # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
-        col = np.add.reduce(grad_raw, axis=0)
-        grad_W -= np.multiply(col[:, None], W, out=scratch)
+        col = np.add.reduce(grad_raw, axis=-2)
+        grad_W -= np.multiply(col[..., :, None], W, out=scratch)
     return grad_W
+
+
+def _at_state(episode: Episode, state: SolverState, config: TimConfig) -> tuple[Batch, LossTerms]:
+    """A batch of one at a given state and its loss terms there, in the
+    representation in effect at ``state.iter``."""
+    batch = Batch([episode], config)
+    batch.W, batch.theta = state.W[None], state.prototypes[None]
+    p = batch.forward(transform_active(state.iter, config))
+    if batch.failures:
+        raise DegenerateVectorError(batch.failures[0][1])
+    return batch, batch.loss_terms(p)[0]
 
 
 def tim_loss(episode: Episode, state: SolverState, config: TimConfig) -> LossTerms:
     """Loss terms at the given state, using the representation in effect
     at ``state.iter`` (raw before transform_start, transformed after)."""
-    return _Step(episode, config).forward(
-        state.W, state.prototypes, transform_active(state.iter, config))
+    return _at_state(episode, state, config)[1]
 
 
 def tim_gradients(
@@ -305,15 +531,16 @@ def tim_gradients(
 
     The W gradient is the zero matrix whenever the transform is inactive at
     ``state.iter`` (and always for variant "tim_baseline").
+
+    Raises:
+        DegenerateVectorError: if a transformed feature cannot be normalized.
+        EpisodeFailure: if a gradient is not finite.
     """
-    step = _Step(episode, config)
-    step.forward(state.W, state.prototypes, transform_active(state.iter, config))
-    grad_theta, grad_W = step.backward()
-    if grad_W is None:
-        grad_W = np.zeros_like(state.W)
-    if not (_all_finite(grad_theta) and _all_finite(grad_W)):
+    batch, _ = _at_state(episode, state, config)
+    grad_theta, grad_W = batch.backward()
+    if _non_finite(grad_theta) is not None or (grad_W is not None and _non_finite(grad_W) is not None):
         raise EpisodeFailure("non-finite gradient", iteration=state.iter)
-    return grad_theta, grad_W
+    return grad_theta[0], np.zeros_like(state.W) if grad_W is None else grad_W[0]
 
 
 class _Adam:
@@ -326,6 +553,16 @@ class _Adam:
         self.s1, self.s2 = np.empty(shape), np.empty(shape)  # scratch
         self.t = 0
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep the moments of the stacked episodes that ``mask`` selects."""
+        self.m, self.v, self.s1, self.s2 = (a[mask] for a in (self.m, self.v, self.s1, self.s2))
+
+    def copy(self) -> "_Adam":
+        """Own moments, shared scratch."""
+        twin = copy.copy(self)
+        twin.m, twin.v = self.m.copy(), self.v.copy()
+        return twin
 
     def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
@@ -364,57 +601,19 @@ def run_ft_tim(
     prototypes, from gradients computed once per iteration), then scores the
     queries in a final pass. The loss trace has iterations + 1 entries of
     (cross_entropy, conditional_entropy, marginal_term); entry j is the loss
-    after j updates. Deterministic for a fixed (episode, config).
+    after j updates. Deterministic for a fixed (episode, config), and equal
+    bit for bit to the episode's result in any :class:`Batch`.
 
     Raises:
         EpisodeFailure: on a degenerate transform output, a non-finite loss
             or a non-finite gradient; carries the failing iteration.
     """
-    step = _Step(episode, config)
-    support_x = step.X[:step.ns]
-    theta = _init_prototypes(support_x, step.labels, episode.num_classes)
-    W = init_transform(support_x)
-    adaptive = config.update_rule == "adaptive_moment"
-    adam_theta = _Adam(theta.shape) if adaptive else None
-    adam_w = _Adam(W.shape) if adaptive else None
-    trace: list[tuple[float, float, float]] = []
-
-    # the last pass, at iteration index `iterations`, only scores the queries;
-    # overflow shows as a non-finite loss, so numpy need not warn about it
-    with np.errstate(all="ignore"):
-        for it in range(config.iterations + 1):
-            active = transform_active(it, config)
-            try:
-                terms = step.forward(W, theta, active)
-            except DegenerateVectorError as exc:
-                raise EpisodeFailure(str(exc), iteration=it) from exc
-            if not math.isfinite(terms.total):
-                raise EpisodeFailure("non-finite loss", iteration=it)
-            trace.append((terms.cross_entropy, terms.conditional_entropy,
-                          terms.marginal_term))
-            if it == config.iterations:
-                break
-            if on_iteration is not None:
-                on_iteration(it, step.p_q, terms)
-
-            grad_theta, grad_W = step.backward()
-            if not _all_finite(grad_theta):
-                raise EpisodeFailure("non-finite prototype gradient", iteration=it)
-            if grad_W is not None:
-                if not _all_finite(grad_W):
-                    raise EpisodeFailure("non-finite transform gradient", iteration=it)
-                _update(W, grad_W, config.lr_w, adam_w)
-            _update(theta, grad_theta, config.lr_theta, adam_theta)
-
-    state = SolverState(
-        prototypes=theta,
-        W=W,
-        posteriors=step.p_q,
-        marginal=step.marginal,
-        iter=config.iterations,
-        loss_trace=trace,
-    )
-    return RunResult(np.argmax(step.p_q, axis=1), state, trace)
+    batch = Batch([episode], config).start()
+    batch.run(config.iterations, on_iteration)
+    (result,) = batch.finish()
+    if isinstance(result, EpisodeFailure):
+        raise result
+    return result
 
 
 def predict_features(

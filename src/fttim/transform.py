@@ -25,20 +25,21 @@ def norm_induced_map(
     x_sq: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched map: entry (i, j) is -0.5 * ||x_i - w_j||^2.
+    """Batched map: entry (i, j) is -0.5 * ||x_i - w_j||^2, for one (X, W)
+    pair or for stacks of them along leading axes.
 
     Uses the expanded dot-product form, which agrees with the direct norm
     form to float64 round-off. A caller that maps the same X many times may
-    pass its squared row norms ``x_sq`` and a d x d float64 ``scratch``
-    buffer for W * W.
+    pass its squared row norms ``x_sq`` and a float64 ``scratch`` buffer
+    shaped like W for W * W.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if x_sq is None:
-        x_sq = np.add.reduce(X * X, axis=1)
-    w_sq = np.add.reduce(np.multiply(W, W, out=scratch), axis=1)
-    raw = X @ W.T
-    half = np.add.outer(x_sq, w_sq)
+        x_sq = np.add.reduce(X * X, axis=-1)
+    w_sq = np.add.reduce(np.multiply(W, W, out=scratch), axis=-1)
+    raw = X @ W.swapaxes(-1, -2)
+    half = x_sq[..., :, None] + w_sq[..., None, :]
     half *= 0.5
     raw -= half
     return raw

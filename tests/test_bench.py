@@ -279,7 +279,7 @@ def test_heldout_scoring_failure_is_flagged():
         heldout_hidden_labels=np.array([0]),
     )
     cfg = TimConfig(variant="linear_transform", iterations=10, transform_start=3)
-    outcome = bench._run_episode((_FixedSource(episode), cfg, 0))
+    (outcome,) = bench.run_episodes(_FixedSource(episode), cfg, episodes=1, base_seed=0)
     assert outcome.failure_flag
     assert outcome.accuracy is None and outcome.heldout_accuracy is None
     assert outcome.iterations_run == 10

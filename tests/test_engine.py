@@ -22,7 +22,7 @@ from fttim import (
     tim_loss,
 )
 from fttim.bench import SyntheticSource
-from fttim.engine import SolverState, _Step
+from fttim.engine import Batch, SolverState
 
 
 def _episode(seed=0, C=5, d=16, sep=1.5, sd=0.5, qpc=4, heldout=0):
@@ -87,7 +87,8 @@ def _loss_terms(p_support, labels, p_query, cfg):
         query_vectors=np.ones((len(p_query), C)) / math.sqrt(C),
         query_hidden_labels=np.zeros(len(p_query), dtype=np.int64),
     )
-    return _Step(episode, cfg).loss_terms(np.vstack([p_support, p_query]))
+    (terms,) = Batch([episode], cfg).loss_terms(np.vstack([p_support, p_query])[None])
+    return terms
 
 
 def test_loss_terms_definitional_extremes():

@@ -1,7 +1,11 @@
 """Feature bank format, normalization, and episodic sampling tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fttim import (
     DegenerateVectorError,
@@ -270,3 +274,58 @@ def test_class_separation_ratio_hand_case():
     labels = np.array([0, 0, 1, 1])
     ratio = class_separation_ratio(vecs, labels)
     assert ratio == pytest.approx((9 + 10 + 10 + 11) / 4.0 / 1.0)
+
+
+# --- property tests of the loader ----------------------------------------------
+
+@st.composite
+def _banks(draw):
+    dim, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * dim, max_size=n * dim))
+    return FeatureBank(dim=dim, class_ids=np.array(ids, dtype=np.int64),
+                       vectors=np.array(values, dtype=np.float64).reshape(n, dim))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bank=_banks())
+def test_loader_round_trip_property(bank):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_feature_bank(bank, path)
+        loaded = load_feature_bank(path)
+        assert loaded.dim == bank.dim
+        assert loaded.class_ids.tobytes() == bank.class_ids.tobytes()
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+        write_feature_bank(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+# (corruption of one record, the error it must raise)
+_CORRUPTIONS = [
+    (lambda line: line.replace(",", ", ", 1), "whitespace in a record"),
+    (lambda line: line + "\r", "carriage return"),
+    (lambda line: line + ",1.0", "fields, got"),
+    (lambda line: "x" + line, "is not an integer"),
+    (lambda line: line.rsplit(",", 1)[0] + ",nan", "non-finite feature value"),
+    (lambda line: line.rsplit(",", 1)[0] + ",1e5x", "non-numeric feature field"),
+    (lambda line: line.replace(",", ",\u00e9", 1), "non-ASCII character"),
+    (lambda line: line.replace(",", ",1_", 1), "underscore in a record"),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bank=_banks(), pick=st.integers(0, 10**6),
+       corruption=st.sampled_from(_CORRUPTIONS))
+def test_loader_rejects_a_corrupt_record_at_its_line(bank, pick, corruption):
+    corrupt, why = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bank.csv"
+        write_feature_bank(bank, path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        row = 1 + pick % bank.num_records  # lines[0] is the header
+        lines[row] = corrupt(lines[row])
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        with pytest.raises(FeatureFormatError, match=f": line {row + 1}: .*{why}"):
+            load_feature_bank(path)

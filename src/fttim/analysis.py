@@ -25,6 +25,13 @@ Two scalings of the barrier coexist here, deliberately:
 By default all operations use the raw (un-normalized) map outputs;
 ``normalized=True`` runs the same analysis on the unit-normalized features
 the inference path uses.
+
+The private helpers take stacks of instances along leading axes, (B, n, d)
+features and (B, C, d) prototypes, the way the solver's kernel does: every
+reduction runs along per-instance axes in the order the single-instance
+form takes, so an instance's values are the same, bit for bit, in a stack
+of any size. The public per-episode functions are those helpers on one
+instance.
 """
 
 from __future__ import annotations
@@ -34,7 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _grad_raw, _grad_w, _pipeline, _softmax_rows
-from .features import Episode, SyntheticTaskSpec, generate_synthetic_episode
+from .features import (
+    Episode,
+    SyntheticTaskSpec,
+    _check_spec,
+    _check_unit_rows,
+    _synthetic_blocks,
+    l2_normalize_rows,
+)
+# not called here any more, but profiling wrappers patch it by this module's name
+from .features import generate_synthetic_episode  # noqa: F401
 from .transform import init_transform, norm_induced_map
 
 # Test hook: overrides the tau/2 factor on the clustering term so a
@@ -59,15 +75,7 @@ class AssignmentMatrix:
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2:
             raise ValueError("assignment rows must form a 2-D array")
-        if np.any(self.rows < 0):
-            raise ValueError("assignment entries must be non-negative")
-        sums = self.rows.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise ValueError("assignment rows must sum to 1")
-        if self.hard:
-            onehot = (self.rows == 1.0).sum(axis=1)
-            if not (np.all(onehot == 1) & np.all((self.rows == 0) | (self.rows == 1))):
-                raise ValueError("hard assignments must be one-hot rows")
+        _check_simplex(self.rows, self.hard)
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, num_classes: int) -> "AssignmentMatrix":
@@ -107,6 +115,37 @@ class KMeansResult:
     trace: list[tuple[str, float]]
 
 
+def _check_simplex(rows: np.ndarray, hard: bool = False) -> np.ndarray:
+    """``rows`` (any leading axes) after checking that every row lies on
+    the probability simplex, and with ``hard`` that every row is one-hot."""
+    if np.any(rows < 0):
+        raise ValueError("assignment entries must be non-negative")
+    sums = rows.sum(axis=-1)
+    if np.max(np.abs(sums - 1.0)) > 1e-12:
+        raise ValueError("assignment rows must sum to 1")
+    if hard:
+        onehot = (rows == 1.0).sum(axis=-1)
+        if not (np.all(onehot == 1) & np.all((rows == 0) | (rows == 1))):
+            raise ValueError("hard assignments must be one-hot rows")
+    return rows
+
+
+def _total(a: np.ndarray, axes: int = 2):
+    """Sum over the last ``axes`` axes of ``a`` as one run, the way np.sum
+    adds up a single instance's array: a float for one instance, an array
+    for a stack."""
+    s = np.add.reduce(a.reshape(a.shape[:a.ndim - axes] + (-1,)), axis=-1)
+    return float(s) if s.ndim == 0 else s
+
+
+def _largest_rises(series: np.ndarray) -> list[float]:
+    """Largest step-to-step increase along the first axis of ``series``
+    (steps x instances), per instance, folded with Python's ``max`` in step
+    order as a list of values would be (-inf with fewer than two steps)."""
+    return [max(column, default=-np.inf)
+            for column in (series[1:] - series[:-1]).T.tolist()]
+
+
 def _map(X: np.ndarray, W: np.ndarray, normalized: bool) -> np.ndarray:
     # normalized outputs come from the solver's own pipeline, which raises
     # DegenerateVectorError (a ValueError) on a zero output
@@ -123,14 +162,15 @@ def transformed_query_features(
 
 
 def squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    diff = features[:, None, :] - prototypes[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """Squared distance from every feature row to every prototype, for one
+    (features, prototypes) pair or stacks of them along leading axes."""
+    diff = features[..., :, None, :] - prototypes[..., None, :, :]
+    return np.add.reduce(diff * diff, axis=-1)
 
 
-def _d2(episode: Episode, W: np.ndarray, prototypes: np.ndarray,
+def _d2(X: np.ndarray, W: np.ndarray, prototypes: np.ndarray,
         normalized: bool) -> np.ndarray:
-    return squared_distances(transformed_query_features(episode, W, normalized),
-                             prototypes)
+    return squared_distances(_map(X, W, normalized), prototypes)
 
 
 def _soft_rows(d2: np.ndarray, tau: float) -> np.ndarray:
@@ -143,8 +183,8 @@ def _rows(assignments: AssignmentMatrix | np.ndarray) -> np.ndarray:
     return AssignmentMatrix(np.asarray(assignments, dtype=np.float64)).rows
 
 
-def _j_value(d2: np.ndarray, q_rows: np.ndarray) -> float:
-    return float(np.sum(q_rows * d2))
+def _j_value(d2: np.ndarray, q_rows: np.ndarray):
+    return _total(q_rows * d2)
 
 
 def kmeans_objective(
@@ -171,12 +211,13 @@ def kkt_soft_assignments(
 ) -> AssignmentMatrix:
     """Distance-softmax assignment rows, the closed-form minimizer of the
     temperature-consistent soft objective (see module docstring)."""
-    return AssignmentMatrix(_soft_rows(_d2(episode, W, prototypes, normalized), tau))
+    return AssignmentMatrix(
+        _soft_rows(_d2(episode.query_vectors, W, prototypes, normalized), tau))
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1)
-    return m + np.log(np.sum(np.exp(logits - m[:, None]), axis=1))
+    m = logits.max(axis=-1)
+    return m + np.log(np.sum(np.exp(logits - m[..., None]), axis=-1))
 
 
 def _xlogx(q: np.ndarray) -> np.ndarray:
@@ -193,23 +234,24 @@ def clustering_term(
 ) -> float:
     """Softmax-weighted sum of squared distances (the K-means-like part of
     the query entropy)."""
-    d2 = _d2(episode, W, prototypes, normalized)
+    d2 = _d2(episode.query_vectors, W, prototypes, normalized)
     return _j_value(d2, _soft_rows(d2, tau))
 
 
-def _decompose(d2: np.ndarray, tau: float) -> tuple[float, float, float, float]:
+def _decompose(d2: np.ndarray, tau: float) -> tuple:
     """(entropy, clustering, dispersion, relative residual) of the identity
     -sum p log p = (tau/2) * clustering + dispersion at the distance-softmax
-    rows p. The two sides come from independent float paths: the entropy
-    from the probabilities themselves, the right side from distances and
-    log-sum-exps."""
+    rows p, per stacked instance. The two sides come from independent float
+    paths: the entropy from the probabilities themselves, the right side
+    from distances and log-sum-exps."""
     logits = -(tau / 2.0) * d2
     p = _softmax_rows(logits)
-    entropy = -float(np.sum(_xlogx(p)))
+    entropy = -_total(_xlogx(p))
     clustering = _j_value(d2, p)
-    dispersion = float(np.sum(_logsumexp_rows(logits)))
+    dispersion = _total(_logsumexp_rows(logits), axes=1)
     scale = (tau / 2.0) if _CLUSTERING_SCALE_OVERRIDE is None else _CLUSTERING_SCALE_OVERRIDE
-    residual = abs(entropy - (scale * clustering + dispersion)) / max(1.0, abs(entropy))
+    # fmax(1, x) is Python's max(1.0, x), NaN included
+    residual = np.abs(entropy - (scale * clustering + dispersion)) / np.fmax(1.0, np.abs(entropy))
     return entropy, clustering, dispersion, residual
 
 
@@ -229,7 +271,7 @@ def entropy_decomposition(
     coincides with the clustering term.
     """
     entropy, clustering, dispersion, residual = _decompose(
-        _d2(episode, W, prototypes, normalized), tau)
+        _d2(episode.query_vectors, W, prototypes, normalized), tau)
     if residual > 1e-8:
         raise InternalConsistencyError(
             f"entropy decomposition identity violated by {residual:.3e} (relative)"
@@ -253,7 +295,7 @@ def decomposition_residual(
 ) -> float:
     """Relative residual of the entropy decomposition identity, from the two
     independent float paths of :func:`entropy_decomposition`."""
-    return _decompose(_d2(episode, W, prototypes, normalized), tau)[3]
+    return float(_decompose(_d2(episode.query_vectors, W, prototypes, normalized), tau)[3])
 
 
 def soft_assignment_objective(
@@ -263,12 +305,24 @@ def soft_assignment_objective(
 
     Strictly convex in q; its exact row-wise simplex minimizer is
     softmax(-(tau/2) d^2)."""
-    return (tau / 2.0) * float(np.sum(q_rows * d2)) + float(np.sum(_xlogx(q_rows)))
+    return (tau / 2.0) * _j_value(d2, q_rows) + _total(_xlogx(q_rows))
 
 
-def barrier_value(q_rows: np.ndarray, tau: float) -> float:
-    """Entropy barrier (tau/2) sum q log q; non-positive, zero iff one-hot."""
-    return (tau / 2.0) * float(np.sum(_xlogx(q_rows)))
+def barrier_value(q_rows: np.ndarray, tau: float):
+    """Entropy barrier (tau/2) sum q log q; non-positive, zero iff one-hot.
+    A float for one instance's rows, an array for a stack of them."""
+    return (tau / 2.0) * _total(_xlogx(q_rows))
+
+
+def _sweep_gaps(d2: np.ndarray, sweep: tuple[float, ...]) -> tuple[np.ndarray, list[float]]:
+    """Whether the bound gap at the softmax assignments shrinks in magnitude
+    along ``sweep`` (to 1e-12), and its largest step-to-step increase, for
+    a stack of instances' distances. At the softmax assignments J equals the
+    clustering term, so the gap reduces to the barrier."""
+    gaps = np.array([np.abs(barrier_value(_soft_rows(d2, t), t)) for t in sweep])
+    gaps = gaps.reshape(len(sweep), d2.shape[0])
+    tight = np.all(gaps[1:] <= gaps[:-1] + 1e-12, axis=0)
+    return tight, _largest_rises(gaps)
 
 
 def bound_check(
@@ -290,16 +344,12 @@ def bound_check(
     of that magnitude.
     """
     q = _rows(assignments)
-    d2 = _d2(episode, W, prototypes, normalized)
+    d2 = _d2(episode.query_vectors, W, prototypes, normalized)
     H = _j_value(d2, _soft_rows(d2, tau))
     bound = _j_value(d2, q) + barrier_value(q, tau)
-    # at the softmax assignments J equals the clustering term, so the gap
-    # reduces to the barrier; its magnitude should shrink with temperature
-    gaps = [abs(barrier_value(_soft_rows(d2, t), t)) for t in sweep]
-    tight = all(gaps[k + 1] <= gaps[k] + 1e-12 for k in range(len(gaps) - 1))
-    rise = max((b - a for a, b in zip(gaps, gaps[1:])), default=-np.inf)
+    tight, rise = _sweep_gaps(d2[None], sweep)
     return BoundCheck(H_value=H, bound_value=bound, gap=bound - H,
-                      tight_at_kkt=tight, gap_rise=rise)
+                      tight_at_kkt=bool(tight[0]), gap_rise=rise[0])
 
 
 def project_simplex_rows(V: np.ndarray) -> np.ndarray:
@@ -340,10 +390,8 @@ def minimize_soft_assignment_rows(
 
 
 def _hard_assign_rows(d2: np.ndarray) -> np.ndarray:
-    labels = np.argmin(d2, axis=1)
-    rows = np.zeros_like(d2)
-    rows[np.arange(d2.shape[0]), labels] = 1.0
-    return rows
+    labels = np.argmin(d2, axis=-1)
+    return (labels[..., None] == np.arange(d2.shape[-1])).astype(np.float64)
 
 
 def _means_update(
@@ -351,11 +399,8 @@ def _means_update(
 ) -> np.ndarray:
     # zero-mass classes keep their previous prototype (deterministic, keeps
     # the objective from jumping)
-    mass = q_rows.sum(axis=0)
-    theta = prev.copy()
-    occupied = mass > 0
-    theta[occupied] = (q_rows.T @ F)[occupied] / mass[occupied, None]
-    return theta
+    mass = q_rows.sum(axis=-2)[..., None]
+    return np.divide(q_rows.swapaxes(-1, -2) @ F, mass, out=prev.copy(), where=mass > 0)
 
 
 def _w_steps(
@@ -478,23 +523,29 @@ def mm_iteration(
     """
     if assignment_mode not in ("soft", "hard"):
         raise ValueError("assignment_mode must be 'soft' or 'hard'")
-    X = episode.query_vectors
-    W = np.asarray(init_W, dtype=np.float64).copy()
-    theta = np.asarray(init_prototypes, dtype=np.float64).copy()
-    trace: list[tuple[float, float]] = []
+    return _mm_trace(episode.query_vectors, np.asarray(init_W, dtype=np.float64),
+                     np.asarray(init_prototypes, dtype=np.float64), tau, rounds,
+                     w_steps_per_round, lr_w, assignment_mode == "hard", normalized)
+
+
+def _mm_trace(
+    X: np.ndarray, W: np.ndarray, theta: np.ndarray, tau: float, rounds: int,
+    w_steps_per_round: int, lr_w: float, hard: bool, normalized: bool,
+) -> list[tuple]:
+    """The rounds of :func:`mm_iteration` from queries X, a transform W and
+    prototypes theta, for one instance (float pairs) or a stack of them
+    (pairs of per-instance arrays). W and theta are not changed."""
+    trace = []
     for _ in range(rounds):
-        F = transformed_query_features(episode, W, normalized)
+        F = _map(X, W, normalized)
         d2 = squared_distances(F, theta)
-        if assignment_mode == "hard":
-            q = _hard_assign_rows(d2)
-        else:
-            q = _soft_rows(d2, tau)
+        q = _hard_assign_rows(d2) if hard else _soft_rows(d2, tau)
         theta = _means_update(F, q, theta)
         if w_steps_per_round > 0 and lr_w > 0:
             W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round, normalized)
-            F = transformed_query_features(episode, W, normalized)
+            F = _map(X, W, normalized)
         d2 = squared_distances(F, theta)
-        if assignment_mode == "hard":
+        if hard:
             j_now = _j_value(d2, q)
             trace.append((j_now, j_now))
         else:
@@ -504,19 +555,51 @@ def mm_iteration(
     return trace
 
 
-def make_random_instance(
-    seed: int,
+@dataclass
+class RandomInstances:
+    """A stack of B seeded random instances with the same shape: support
+    (B, C, d) and query (B, n, d) unit vectors, the query labels they share
+    (n,), and each instance's transform W (B, d, d) and prototypes
+    theta (B, C, d)."""
+
+    support: np.ndarray
+    query: np.ndarray
+    query_labels: np.ndarray
+    W: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.W)
+
+    def episode(self, b: int) -> Episode:
+        C, d = self.support.shape[1:]
+        return Episode(
+            num_classes=C,
+            dim=d,
+            support_labels=np.arange(C, dtype=np.int64),
+            support_vectors=self.support[b],
+            query_vectors=self.query[b],
+            query_hidden_labels=self.query_labels,
+        )
+
+
+def make_random_instances(
+    seeds,
     num_classes: int = 5,
     queries_per_class: int = 4,
     dim: int = 8,
     separation: float = 1.5,
     stddev: float = 0.5,
-) -> tuple[Episode, np.ndarray, np.ndarray]:
-    """Seeded generic (episode, W, prototypes) triple for property sweeps.
+) -> RandomInstances:
+    """Seeded generic (episode, W, prototypes) instances for property
+    sweeps, one per seed, as a stack.
 
-    W is a jittered support gram matrix and the prototypes sit near
-    transformed query positions, so instances are generic (no accidental
-    symmetry) but on the data's scale.
+    Each episode is the synthetic episode of its seed. W is a jittered
+    support gram matrix and the prototypes sit near transformed query
+    positions, so instances are generic (no accidental symmetry) but on
+    the data's scale. The random draws are made per seed; everything else
+    runs on the stack, and each instance is the same, bit for bit, in a
+    stack of any size.
     """
     spec = SyntheticTaskSpec(
         num_classes=num_classes,
@@ -525,13 +608,35 @@ def make_random_instance(
         inter_class_separation=separation,
         relevant_dims=min(dim, num_classes),
         queries_per_class=queries_per_class,
-        seed=seed,
     )
-    episode = generate_synthetic_episode(spec)
-    rng = np.random.default_rng(seed + 1_000_003)
-    W = init_transform(episode.support_vectors)
-    W = W + (0.1 / np.sqrt(dim)) * rng.standard_normal((dim, dim))
-    F = norm_induced_map(episode.query_vectors, W)
-    picks = rng.choice(F.shape[0], size=num_classes, replace=False)
-    theta = F[picks] + 0.05 * rng.standard_normal((num_classes, dim))
-    return episode, W, theta
+    _check_spec(spec)
+    seeds = list(seeds)
+    B, C, n = len(seeds), num_classes, num_classes * queries_per_class
+    blocks = np.empty((B, C, 1 + queries_per_class, dim))
+    jitter = np.empty((B, dim, dim))
+    picks = np.empty((B, C), dtype=np.int64)
+    noise = np.empty((B, C, dim))
+    for b, seed in enumerate(seeds):
+        blocks[b] = _synthetic_blocks(spec, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1_000_003)
+        jitter[b] = rng.standard_normal((dim, dim))
+        picks[b] = rng.choice(n, size=C, replace=False)
+        noise[b] = rng.standard_normal((C, dim))
+    support = l2_normalize_rows(blocks[:, :, 0])
+    query = l2_normalize_rows(blocks[:, :, 1:].reshape(B, n, dim))
+    _check_unit_rows("support", support)
+    _check_unit_rows("query", query)
+    W = init_transform(support) + (0.1 / np.sqrt(dim)) * jitter
+    F = norm_induced_map(query, W)
+    theta = np.take_along_axis(F, picks[..., None], axis=1) + 0.05 * noise
+    labels = np.repeat(np.arange(C, dtype=np.int64), queries_per_class)
+    return RandomInstances(support, query, labels, W, theta)
+
+
+def make_random_instance(
+    seed: int, **shape
+) -> tuple[Episode, np.ndarray, np.ndarray]:
+    """The (episode, W, prototypes) triple of :func:`make_random_instances`
+    for one seed; ``shape`` takes the same keywords."""
+    instance = make_random_instances([seed], **shape)
+    return instance.episode(0), instance.W[0], instance.theta[0]

@@ -208,6 +208,15 @@ def _run_part(job) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
     return outcomes, seconds
 
 
+def _died(job, exc: BaseException) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
+    """The result of a part whose pool worker died: every episode failed at
+    iteration 0."""
+    _, _, variants, seeds = job
+    outcomes = {v: [EpisodeOutcome(seed, None, None, 0, True, f"worker died: {exc}")
+                    for seed in seeds] for v in variants}
+    return outcomes, dict.fromkeys(variants, 0.0)
+
+
 def _shape(episode: Episode) -> tuple:
     return (episode.num_classes, episode.support_vectors.shape,
             episode.query_vectors.shape)
@@ -220,7 +229,8 @@ def _run_campaign(
     """Outcomes of episodes base_seed .. base_seed+episodes-1, in order, for
     each variant, and each variant's solve seconds. With more than one
     worker, the pool gets ``workers`` contiguous runs of near-equal length
-    (fewer when there are fewer episodes)."""
+    (fewer when there are fewer episodes). When a pool worker dies, every
+    run that it takes down with it is a run of failed episodes."""
     seeds = range(base_seed, base_seed + episodes)
     parts = min(episodes, workers) if workers > 1 else 1
     jobs = [(source, config, variants, seeds[k * episodes // parts:(k + 1) * episodes // parts])
@@ -230,9 +240,16 @@ def _run_campaign(
     else:
         # the pool machinery costs import time, so only pools import it
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_part, jobs))
+            futures = [pool.submit(_run_part, job) for job in jobs]
+            results = []
+            for job, future in zip(jobs, futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    results.append(_died(job, exc))
     outcomes = {v: [o for part, _ in results for o in part[v]] for v in variants}
     seconds = {v: sum(part[v] for _, part in results) for v in variants}
     return outcomes, seconds
@@ -285,13 +302,17 @@ class EvalReport:
         }
 
     def table(self) -> str:
-        mean = "n/a" if self.mean_accuracy is None else f"{self.mean_accuracy:.4f}"
-        ci = "n/a" if self.ci95_halfwidth is None else f"{self.ci95_halfwidth:.4f}"
+        mean, ci = _cell(self.mean_accuracy), _cell(self.ci95_halfwidth)
         lines = [
             f"{'variant':<18}{'episodes':>9}{'mean_acc':>10}{'ci95':>8}{'failures':>10}",
             f"{self.variant:<18}{self.episodes:>9}{mean:>10}{ci:>8}{self.failures:>10}",
         ]
         return "\n".join(lines)
+
+
+def _cell(value: float | None, spec: str = ".4f") -> str:
+    """A report table's number cell: ``n/a`` when there is no value."""
+    return "n/a" if value is None else format(value, spec)
 
 
 def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:
@@ -401,15 +422,13 @@ class CompareReport:
     def table(self) -> str:
         lines = [f"{'variant':<20}{'mean_acc':>10}{'ci95':>8}{'failures':>10}"]
         for name, rep in self.reports.items():
-            mean = "n/a" if rep.mean_accuracy is None else f"{rep.mean_accuracy:.4f}"
-            ci = "n/a" if rep.ci95_halfwidth is None else f"{rep.ci95_halfwidth:.4f}"
+            mean, ci = _cell(rep.mean_accuracy), _cell(rep.ci95_halfwidth)
             lines.append(f"{name:<20}{mean:>10}{ci:>8}{rep.failures:>10}")
         lines.append("")
         lines.append(f"{'pair':<34}{'mean_diff':>10}{'ci95':>8}"
                      f"{'wins':>6}{'losses':>8}{'ties':>6}")
         for p in self.paired:
-            diff = "n/a" if p.mean_diff is None else f"{p.mean_diff:+.4f}"
-            ci = "n/a" if p.ci95_halfwidth is None else f"{p.ci95_halfwidth:.4f}"
+            diff, ci = _cell(p.mean_diff, "+.4f"), _cell(p.ci95_halfwidth)
             lines.append(
                 f"{p.pair:<34}{diff:>10}{ci:>8}"
                 f"{p.wins:>6}{p.losses:>8}{p.ties:>6}"
@@ -517,27 +536,55 @@ def _brute_force_best_j(F: np.ndarray, num_classes: int) -> float:
     return best
 
 
+# Theory instances are checked in stacks of as many as keep the largest
+# temporary, the (B, n, C, d) query-to-prototype differences, within this
+# many bytes: 40 instances of the default shape. Temporaries stay
+# cache-sized, and peak memory does not grow with the instance count.
+_THEORY_STACK_BYTES = 1 << 18
+
+
+def _instance_stacks(instances: int, first_seed: int, num_classes: int = 5,
+                     queries_per_class: int = 4, dim: int = 8, **shape):
+    """The seeded random instances first_seed, first_seed + 1, ... (see
+    :func:`analysis.make_random_instances`) in consecutive stacks."""
+    per_instance = 8 * num_classes * num_classes * queries_per_class * dim
+    size = max(1, _THEORY_STACK_BYTES // per_instance)
+    for start in range(0, instances, size):
+        seeds = range(first_seed + start, first_seed + min(instances, start + size))
+        yield analysis.make_random_instances(
+            seeds, num_classes=num_classes, queries_per_class=queries_per_class,
+            dim=dim, **shape)
+
+
 def _tally(name: str, check, instances: int, first_seed: int, share: float,
-           detail: str) -> PropertyResult:
-    """Runs ``check(seed) -> (value, ok)`` on seeds first_seed,
-    first_seed + 1, ...; the property holds when at least ``share`` of the
-    instances are ok, and ``detail`` formats the largest value."""
+           detail: str, **shape) -> PropertyResult:
+    """Runs ``check(stack) -> (values, oks)``, one value and one verdict per
+    instance, on stacks of the seeded instances first_seed, first_seed + 1,
+    ... of the given shape; the property holds when at least ``share`` of
+    the instances are ok, and ``detail`` formats the largest value, folded
+    with Python's ``max`` in seed order."""
     passed, worst = 0, None
-    for i in range(instances):
-        value, ok = check(first_seed + i)
-        passed += ok
-        worst = value if worst is None else max(worst, value)
+    for stack in _instance_stacks(instances, first_seed, **shape):
+        values, oks = check(stack)
+        for value, ok in zip(np.asarray(values).tolist(), np.asarray(oks).tolist()):
+            passed += ok
+            worst = value if worst is None else max(worst, value)
     return PropertyResult(name, passed, instances,
                           passed >= int(np.ceil(share * instances)),
                           detail.format(0.0 if worst is None else worst))
 
 
+def _query_d2(stack: analysis.RandomInstances) -> np.ndarray:
+    """Squared distances from the raw transformed queries to the
+    prototypes, (B, n, C)."""
+    return analysis._d2(stack.query, stack.W, stack.theta, False)
+
+
 def decomposition_property(instances: int, first_seed: int) -> PropertyResult:
     """Entropy decomposition identity at tau=15: relative residual <= 1e-10
     on every instance; the detail is the worst residual."""
-    def check(seed):
-        episode, W, theta = analysis.make_random_instance(seed)
-        r = analysis.decomposition_residual(episode, W, theta, tau=15.0)
+    def check(stack):
+        r = analysis._decompose(_query_d2(stack), 15.0)[3]
         return r, r <= 1e-10
     return _tally("decomposition identity (rel residual <= 1e-10)",
                   check, instances, first_seed, 1.0, "worst {:.2e}")
@@ -547,13 +594,12 @@ def kkt_property(instances: int, first_seed: int) -> PropertyResult:
     """Closed-form soft assignments at tau=0.01 within 1e-6 of the
     projected-gradient oracle on every instance; the detail is the worst
     deviation."""
-    def check(seed):
-        episode, W, theta = analysis.make_random_instance(seed)
-        F = analysis.transformed_query_features(episode, W)
-        d2 = analysis.squared_distances(F, theta)
-        closed = analysis.kkt_soft_assignments(episode, W, theta, tau=0.01).rows
-        numeric = analysis.minimize_soft_assignment_rows(d2, tau=0.01)
-        dev = float(np.max(np.abs(closed - numeric)))
+    def check(stack):
+        d2 = _query_d2(stack)
+        closed = analysis._check_simplex(analysis._soft_rows(d2, 0.01))
+        numeric = np.array([analysis.minimize_soft_assignment_rows(d, tau=0.01)
+                            for d in d2])
+        dev = np.max(np.abs(closed - numeric), axis=(1, 2))
         return dev, dev <= 1e-6
     return _tally("closed-form soft assignments vs projected-gradient oracle (<= 1e-6)",
                   check, instances, first_seed, 1.0, "worst {:.2e}")
@@ -563,39 +609,42 @@ def lloyd_property(instances: int, first_seed: int) -> PropertyResult:
     """Single-start Lloyd from the support-derived start: a monotone trace
     that ends at the brute-force optimum, on every micro instance; the
     detail is the worst gap to that optimum."""
-    def check(seed):
-        # micro instances are well separated so the support-derived start
-        # lands in the optimum's Lloyd basin (loose clouds have true local
-        # minima unreachable by any single-start Lloyd run)
-        episode, W, _ = analysis.make_random_instance(
-            seed, num_classes=2, queries_per_class=2,
-            dim=2, separation=3.0, stddev=0.3,
-        )
-        result = analysis.alternate_kmeans(
-            episode, max_rounds=50, w_steps_per_round=0, init_W=W,
-        )
-        F = analysis.transformed_query_features(episode, result.W)
-        target = _brute_force_best_j(F, 2)
-        values = [v for _, v in result.trace]
-        monotone = all(values[k + 1] <= values[k] + 1e-9 for k in range(len(values) - 1))
-        gap = abs(values[-1] - target)
-        return gap, monotone and gap <= 1e-9 * max(1.0, target)
+    def check(stack):
+        gaps, oks = [], []
+        for b in range(len(stack)):
+            episode = stack.episode(b)
+            result = analysis.alternate_kmeans(
+                episode, max_rounds=50, w_steps_per_round=0, init_W=stack.W[b],
+            )
+            F = analysis.transformed_query_features(episode, result.W)
+            target = _brute_force_best_j(F, 2)
+            values = [v for _, v in result.trace]
+            monotone = all(values[k + 1] <= values[k] + 1e-9 for k in range(len(values) - 1))
+            gap = abs(values[-1] - target)
+            gaps.append(gap)
+            oks.append(monotone and gap <= 1e-9 * max(1.0, target))
+        return gaps, oks
+    # micro instances are well separated so the support-derived start lands
+    # in the optimum's Lloyd basin (loose clouds have true local minima
+    # unreachable by any single-start Lloyd run)
     return _tally("Lloyd monotone + brute-force optimum on micro instances",
-                  check, instances, first_seed, 1.0, "worst gap {:.2e}")
+                  check, instances, first_seed, 1.0, "worst gap {:.2e}",
+                  num_classes=2, queries_per_class=2, dim=2, separation=3.0,
+                  stddev=0.3)
 
 
 def mm_property(instances: int, first_seed: int) -> PropertyResult:
     """Five majorize-minimize rounds at tau=1e-3 never raise the clustering
     term by more than 1e-6, on at least 99% of instances; the detail is the
     largest step-to-step rise."""
-    def check(seed):
-        episode, W, theta = analysis.make_random_instance(seed)
-        h0 = analysis.clustering_term(episode, W, theta, tau=1e-3)
-        trace = analysis.mm_iteration(episode, W, theta, tau=1e-3, rounds=5)
-        series = [h0] + [h for h, _ in trace]
-        rise = max(b - a for a, b in zip(series, series[1:]))
-        ok = all(series[k + 1] <= series[k] + 1e-6 for k in range(len(series) - 1))
-        return rise, ok
+    def check(stack):
+        d2 = _query_d2(stack)
+        h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
+        trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5,
+                                   1, 0.005, False, False)
+        series = np.array([h0] + [h for h, _ in trace])
+        ok = np.all(series[1:] <= series[:-1] + 1e-6, axis=0)
+        return analysis._largest_rises(series), ok
     return _tally("majorize-minimize descent at tau=1e-3 (>= 99% of instances)",
                   check, instances, first_seed, 0.99, "largest rise {:+.2e}")
 
@@ -604,11 +653,11 @@ def sweep_property(instances: int, first_seed: int) -> PropertyResult:
     """The bound gap at the closed-form assignments (tau=1) shrinks along
     the temperature sweep on at least 95% of instances; the detail is the
     largest step-to-step rise of the gap."""
-    def check(seed):
-        episode, W, theta = analysis.make_random_instance(seed)
-        q = analysis.kkt_soft_assignments(episode, W, theta, tau=1.0)
-        result = analysis.bound_check(episode, W, theta, tau=1.0, assignments=q)
-        return result.gap_rise, result.tight_at_kkt
+    def check(stack):
+        d2 = _query_d2(stack)
+        analysis._check_simplex(analysis._soft_rows(d2, 1.0))
+        tight, rise = analysis._sweep_gaps(d2, (1.0, 0.1, 0.01, 0.001))
+        return rise, tight
     return _tally("gap at closed-form assignments shrinks across tau sweep (>= 95%)",
                   check, instances, first_seed, 0.95, "largest gap rise {:+.2e}")
 
@@ -628,7 +677,8 @@ def run_theory_suite(
     a brute-force micro-instance oracle, majorize-minimize descent at small
     temperature, and gap shrinkage across a temperature sweep. Each property
     takes its seeds from its own block: base_seed, base_seed + 10000, ...,
-    base_seed + 40000.
+    base_seed + 40000. Instances are generated and checked in stacks (see
+    ``_THEORY_STACK_BYTES``); each one's values do not depend on its stack.
 
     The Lloyd property is a single-start check and holds only where Lloyd's
     start lies in the optimum's basin. It passes 200/200 at base seed 0, but
@@ -652,15 +702,22 @@ def write_gap_trace(
 ) -> None:
     """Emit the per-instance, per-temperature gap table as CSV."""
     lines = ["instance_id,tau,H,bound,gap"]
-    for i in range(instances):
-        episode, W, theta = analysis.make_random_instance(base_seed + i)
+    i = 0
+    for stack in _instance_stacks(instances, base_seed):
+        d2 = _query_d2(stack)
+        per_tau = []
         for tau in taus:
-            q = analysis.kkt_soft_assignments(episode, W, theta, tau)
-            check = analysis.bound_check(episode, W, theta, tau, q)
-            lines.append(
-                f"{i},{repr(float(tau))},{repr(check.H_value)},"
-                f"{repr(check.bound_value)},{repr(check.gap)}"
-            )
+            # at the closed-form assignments q, H is J(q) and the bound is
+            # J(q) plus the barrier
+            q = analysis._check_simplex(analysis._soft_rows(d2, tau))
+            H = analysis._j_value(d2, q)
+            bound = H + analysis.barrier_value(q, tau)
+            per_tau.append((repr(float(tau)), H.tolist(), bound.tolist(),
+                            (bound - H).tolist()))
+        for b in range(len(stack)):
+            lines.extend(f"{i},{t},{repr(hs[b])},{repr(bounds[b])},{repr(gaps[b])}"
+                         for t, hs, bounds, gaps in per_tau)
+            i += 1
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -36,15 +36,23 @@ class DegenerateVectorError(ValueError):
 
 
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a 2-D array."""
+    """Row-wise unit normalization of a 2-D array, or of a stack of them
+    along leading axes."""
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix has non-finite entries")
-    norms = np.linalg.norm(X, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(f"row {int(zero[0])} has zero norm")
-    return X / norms[:, None]
+    norms = np.linalg.norm(X, axis=-1)
+    zero = norms == 0.0
+    if zero.any():
+        raise DegenerateVectorError(f"row {int(np.argwhere(zero)[0, -1])} has zero norm")
+    return X / norms[..., None]
+
+
+def _check_unit_rows(name: str, arr: np.ndarray) -> None:
+    """Raise unless every row of ``arr`` (any leading axes) has unit norm."""
+    norms = np.linalg.norm(arr, axis=-1)
+    if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
+        raise ValueError(f"{name} vectors are not unit-normalized")
 
 
 @dataclass
@@ -225,9 +233,7 @@ class Episode:
                 continue
             if arr.shape[1] != self.dim:
                 raise ValueError(f"{name} vectors have wrong dimension")
-            norms = np.linalg.norm(arr, axis=1)
-            if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-                raise ValueError(f"{name} vectors are not unit-normalized")
+            _check_unit_rows(name, arr)
         for labels, n in (
             (self.query_hidden_labels, self.query_vectors.shape[0]),
             (self.heldout_hidden_labels,
@@ -322,8 +328,7 @@ def _synthetic_means(spec: SyntheticTaskSpec) -> np.ndarray:
     return means
 
 
-def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
-    """Build a reproducible synthetic episode from a :class:`SyntheticTaskSpec`."""
+def _check_spec(spec: SyntheticTaskSpec) -> None:
     if spec.relevant_dims < 1:
         raise ValueError("relevant_dims must be >= 1")
     if spec.relevant_dims > spec.dim:
@@ -336,31 +341,34 @@ def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
         raise ValueError("queries_per_class must be >= 1")
     if spec.intra_class_stddev < 0 or spec.inter_class_separation < 0:
         raise ValueError("stddev and separation must be non-negative")
-    rng = np.random.default_rng(spec.seed)
-    means = _synthetic_means(spec)
+
+
+def _synthetic_blocks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> np.ndarray:
+    """The task's raw vectors as (C, 1 + queries + held-out, d) class blocks:
+    each block is its class's support vector, then its queries, then its
+    held-out vectors. One draw gives the same bits as one draw per class."""
     per_class = 1 + spec.queries_per_class + spec.heldout_per_class
-    support, query, heldout, q_labels, h_labels = [], [], [], [], []
-    for c in range(spec.num_classes):
-        block = means[c] + spec.intra_class_stddev * rng.standard_normal(
-            (per_class, spec.dim)
-        )
-        support.append(block[0])
-        query.append(block[1:1 + spec.queries_per_class])
-        q_labels.extend([c] * spec.queries_per_class)
-        if spec.heldout_per_class:
-            heldout.append(block[1 + spec.queries_per_class:])
-            h_labels.extend([c] * spec.heldout_per_class)
+    noise = rng.standard_normal((spec.num_classes, per_class, spec.dim))
+    return _synthetic_means(spec)[:, None, :] + spec.intra_class_stddev * noise
+
+
+def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
+    """Build a reproducible synthetic episode from a :class:`SyntheticTaskSpec`."""
+    _check_spec(spec)
+    blocks = _synthetic_blocks(spec, np.random.default_rng(spec.seed))
+    C, d, q = spec.num_classes, spec.dim, spec.queries_per_class
+    labels = np.arange(C, dtype=np.int64)
     episode = Episode(
-        num_classes=spec.num_classes,
-        dim=spec.dim,
-        support_labels=np.arange(spec.num_classes, dtype=np.int64),
-        support_vectors=l2_normalize_rows(np.asarray(support)),
-        query_vectors=l2_normalize_rows(np.vstack(query)),
-        query_hidden_labels=np.asarray(q_labels, dtype=np.int64),
+        num_classes=C,
+        dim=d,
+        support_labels=labels,
+        support_vectors=l2_normalize_rows(blocks[:, 0]),
+        query_vectors=l2_normalize_rows(blocks[:, 1:1 + q].reshape(-1, d)),
+        query_hidden_labels=np.repeat(labels, q),
     )
     if spec.heldout_per_class:
-        episode.heldout_vectors = l2_normalize_rows(np.vstack(heldout))
-        episode.heldout_hidden_labels = np.asarray(h_labels, dtype=np.int64)
+        episode.heldout_vectors = l2_normalize_rows(blocks[:, 1 + q:].reshape(-1, d))
+        episode.heldout_hidden_labels = np.repeat(labels, spec.heldout_per_class)
     episode.validate()
     return episode
 

@@ -47,11 +47,12 @@ def norm_induced_map(
 
 def init_transform(support_features: np.ndarray) -> np.ndarray:
     """Initialize the d x d transform matrix from unit-normalized support
-    rows: X_s^T X_s, of rank at most the number of support rows."""
+    rows: X_s^T X_s, of rank at most the number of support rows. A stack of
+    support arrays along leading axes gives a stack of matrices."""
     S = np.asarray(support_features, dtype=np.float64)
-    if S.ndim != 2:
-        raise ValueError("support features must be a 2-D array")
-    norms = np.linalg.norm(S, axis=1)
+    if S.ndim < 2:
+        raise ValueError("support features must be a 2-D array or a stack of them")
+    norms = np.linalg.norm(S, axis=-1)
     if np.max(np.abs(norms - 1.0)) > NORMALIZED_INPUT_TOL:
         raise ValueError("support features must be unit-normalized")
-    return S.T @ S
+    return S.swapaxes(-1, -2) @ S

@@ -1,6 +1,7 @@
 """Campaign runner, report schema, CLI flags, theory harness, export."""
 
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -232,6 +233,54 @@ def test_cli_exit_nonzero_on_failed_episode(tmp_path):
     assert code == 1
     payload = json.loads(out.read_text())
     assert payload["per_episode"][0]["failure_flag"] is True
+
+
+def test_dead_pool_worker_flags_its_part_and_the_report_is_written(tmp_path, monkeypatch):
+    # pool workers are forked, so they build episodes with the patched
+    # generator; the worker of the second part (seeds 9, 10) dies at seed 10
+    real = bench.generate_synthetic_episode
+
+    def dying(spec):
+        if spec.seed == 10:
+            os._exit(3)
+        return real(spec)
+
+    monkeypatch.setattr(bench, "generate_synthetic_episode", dying)
+    out = tmp_path / "r.json"
+    code = main(_fast_args(episodes=4, extra=["--workers", "2", "--out", str(out)]))
+    assert code == 1
+    payload = json.loads(out.read_text())
+    died = payload["per_episode"][2:]
+    assert [(e["seed"], e["failure_flag"], e["iterations_run"]) for e in died] \
+        == [(9, True, 0), (10, True, 0)]
+    report = bench.evaluate(bench.SyntheticSource(dim=16, relevant_dims=5, queries_per_class=5),
+                            TimConfig(iterations=60, transform_start=20),
+                            episodes=4, base_seed=7, workers=2)
+    assert all(o.error.startswith("worker died: ") for o in report.per_episode[2:])
+    # the first part either finished before the pool broke or went down with it
+    assert all(o.error == "" or o.error.startswith("worker died: ")
+               for o in report.per_episode[:2])
+
+
+def test_report_tables_format_missing_values_as_na():
+    outcome = bench.EpisodeOutcome(0, None, None, 0, True, "x")
+    ft = bench.EvalReport("ft_tim", 1, None, None, [outcome], {}, 0.0)
+    base = bench.EvalReport("tim_baseline", 1, 0.123456, 0.05, [], {}, 0.0)
+    assert ft.table() == (
+        "variant            episodes  mean_acc    ci95  failures\n"
+        "ft_tim                    1       n/a     n/a         1")
+    report = bench.CompareReport(1, {"ft_tim": ft, "tim_baseline": base}, [
+        bench.PairedStats("ft_tim-tim_baseline", 0, None, None, 0, 0, 0),
+        bench.PairedStats("ft_tim-linear_transform", 3, 0.0125, 0.25, 2, 1, 0),
+    ])
+    assert report.table() == (
+        "variant               mean_acc    ci95  failures\n"
+        "ft_tim                     n/a     n/a         1\n"
+        "tim_baseline            0.1235  0.0500         0\n"
+        "\n"
+        "pair                               mean_diff    ci95  wins  losses  ties\n"
+        "ft_tim-tim_baseline                      n/a     n/a     0       0     0\n"
+        "ft_tim-linear_transform              +0.0125  0.2500     2       1     0")
 
 
 def test_zero_row_in_bank_is_flagged_not_a_crash(tmp_path, capsys):

@@ -7,6 +7,7 @@ from .features import (
     FeatureBank,
     FeatureFormatError,
     SyntheticTaskSpec,
+    TooFewClassesError,
     class_separation_ratio,
     generate_synthetic_episode,
     l2_normalize_rows,
@@ -19,15 +20,11 @@ from .engine import (
     EpisodeFailure,
     LossTerms,
     RunResult,
-    SemiSupervisedResult,
     SolverState,
     TimConfig,
-    load_checkpoint,
     posteriors,
     predict_features,
     run_ft_tim,
-    run_semi_supervised,
-    save_checkpoint,
     tim_gradients,
     tim_loss,
 )

@@ -45,21 +45,12 @@ from .features import (
     write_feature_bank,
 )
 
-# Standard synthetic suite: moderate noise over mostly irrelevant dimensions,
-# baseline accuracy lands mid-range so transform effects are measurable.
-STANDARD_SUITE = dict(
-    num_classes=5,
-    dim=64,
-    relevant_dims=10,
-    intra_class_stddev=0.5,
-    inter_class_separation=3.0,
-    queries_per_class=15,
-)
-
-
 @dataclass(frozen=True)
 class SyntheticSource:
-    """Episode factory backed by the synthetic generator."""
+    """Episode factory backed by the synthetic generator. The defaults are
+    the standard synthetic suite: moderate noise over mostly irrelevant
+    dimensions, so baseline accuracy lands mid-range and transform effects
+    are measurable."""
 
     num_classes: int = 5
     dim: int = 64
@@ -71,29 +62,15 @@ class SyntheticSource:
 
     def episode(self, seed: int) -> Episode:
         return generate_synthetic_episode(
-            SyntheticTaskSpec(
-                num_classes=self.num_classes,
-                dim=self.dim,
-                intra_class_stddev=self.intra_class_stddev,
-                inter_class_separation=self.inter_class_separation,
-                relevant_dims=self.relevant_dims,
-                queries_per_class=self.queries_per_class,
-                heldout_per_class=self.heldout_per_class,
-                seed=seed,
-            )
-        )
+            SyntheticTaskSpec(**dataclasses.asdict(self), seed=seed))
 
     def echo(self) -> dict:
-        return {
-            "kind": "synthetic",
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "relevant_dims": self.relevant_dims,
-            "intra_class_stddev": self.intra_class_stddev,
-            "inter_class_separation": self.inter_class_separation,
-            "queries_per_class": self.queries_per_class,
-            "heldout_per_class": self.heldout_per_class,
-        }
+        return {"kind": "synthetic", **dataclasses.asdict(self)}
+
+
+# the standard synthetic suite as SyntheticTaskSpec fields, without a held-out split
+STANDARD_SUITE = {k: v for k, v in dataclasses.asdict(SyntheticSource()).items()
+                  if k != "heldout_per_class"}
 
 
 _BANK_CACHE: dict[str, FeatureBank] = {}
@@ -126,13 +103,7 @@ class BankSource:
         )
 
     def echo(self) -> dict:
-        return {
-            "kind": "bank",
-            "path": self.path,
-            "num_classes": self.num_classes,
-            "queries_per_class": self.queries_per_class,
-            "heldout_per_class": self.heldout_per_class,
-        }
+        return {"kind": "bank", **dataclasses.asdict(self)}
 
 
 @dataclass
@@ -143,6 +114,10 @@ class EpisodeOutcome:
     iterations_run: int
     failure_flag: bool
     error: str = ""
+
+
+# the EpisodeOutcome fields a report writes, in order
+_REPORTED = ("seed", "accuracy", "iterations_run", "failure_flag")
 
 
 def _outcome(seed: int, episode: Episode, result, config: TimConfig) -> EpisodeOutcome:
@@ -174,11 +149,10 @@ def _solve_stack(stack, config, variants, outcomes, seconds) -> None:
     prefix = (time.perf_counter() - start) / len(variants)
     for k, variant in enumerate(variants):
         start = time.perf_counter()
-        cfg = dataclasses.replace(config, variant=variant)
         batch = shared.fork(variant, share=k == len(variants) - 1)
         batch.run(config.iterations)
         for (i, seed, episode), result in zip(stack, batch.finish()):
-            outcomes[variant][i] = _outcome(seed, episode, result, cfg)
+            outcomes[variant][i] = _outcome(seed, episode, result, batch.config)
         seconds[variant] += prefix + time.perf_counter() - start
 
 
@@ -283,23 +257,10 @@ class EvalReport:
         return sum(1 for o in self.per_episode if o.failure_flag)
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "episodes": self.episodes,
-            "mean_accuracy": self.mean_accuracy,
-            "ci95_halfwidth": self.ci95_halfwidth,
-            "per_episode": [
-                {
-                    "seed": o.seed,
-                    "accuracy": o.accuracy,
-                    "iterations_run": o.iterations_run,
-                    "failure_flag": o.failure_flag,
-                }
-                for o in self.per_episode
-            ],
-            "config_echo": self.config_echo,
-            "wall_time_s": self.wall_time_s,
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload["per_episode"] = [{k: getattr(o, k) for k in _REPORTED}
+                                  for o in self.per_episode]
+        return payload
 
     def table(self) -> str:
         mean, ci = _cell(self.mean_accuracy), _cell(self.ci95_halfwidth)
@@ -326,17 +287,6 @@ def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:
     return mean, halfwidth
 
 
-def _config_echo(source, config: TimConfig, episodes: int, base_seed: int,
-                 protocol: str) -> dict:
-    return {
-        "source": source.echo(),
-        "protocol": protocol,
-        "episodes": episodes,
-        "base_seed": base_seed,
-        "tim": config.as_dict(),
-    }
-
-
 def evaluate(
     source,
     config: TimConfig,
@@ -359,27 +309,23 @@ def evaluate(
 def _eval_report(source, config: TimConfig, episodes: int, base_seed: int,
                  outcomes: list[EpisodeOutcome], wall: float) -> EvalReport:
     semi = getattr(source, "heldout_per_class", 0) > 0
-    scored = [
-        (o.heldout_accuracy if semi else o.accuracy)
-        for o in outcomes
-        if not o.failure_flag
-    ]
-    per_episode = outcomes
     if semi:
-        per_episode = [
-            dataclasses.replace(o, accuracy=o.heldout_accuracy) for o in outcomes
-        ]
-    mean, ci = _mean_ci([a for a in scored if a is not None])
+        outcomes = [dataclasses.replace(o, accuracy=o.heldout_accuracy) for o in outcomes]
+    mean, ci = _mean_ci([o.accuracy for o in outcomes
+                         if not o.failure_flag and o.accuracy is not None])
     return EvalReport(
         variant=config.variant,
         episodes=episodes,
         mean_accuracy=mean,
         ci95_halfwidth=ci,
-        per_episode=per_episode,
-        config_echo=_config_echo(
-            source, config, episodes, base_seed,
-            "semi_supervised" if semi else "standard",
-        ),
+        per_episode=outcomes,
+        config_echo={
+            "source": source.echo(),
+            "protocol": "semi_supervised" if semi else "standard",
+            "episodes": episodes,
+            "base_seed": base_seed,
+            "tim": dataclasses.asdict(config),
+        },
         wall_time_s=wall,
     )
 
@@ -405,18 +351,7 @@ class CompareReport:
         return {
             "episodes": self.episodes,
             "variants": {k: v.to_json_dict() for k, v in self.reports.items()},
-            "paired": [
-                {
-                    "pair": p.pair,
-                    "n": p.n,
-                    "mean_diff": p.mean_diff,
-                    "ci95_halfwidth": p.ci95_halfwidth,
-                    "wins": p.wins,
-                    "losses": p.losses,
-                    "ties": p.ties,
-                }
-                for p in self.paired
-            ],
+            "paired": [dataclasses.asdict(p) for p in self.paired],
         }
 
     def table(self) -> str:

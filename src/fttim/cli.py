@@ -9,15 +9,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import analysis, bench
 from .engine import TimConfig, UPDATE_RULES, VARIANTS
+from .features import FeatureFormatError, TooFewClassesError
 
 # every solver field has a --tim-* flag; the variant comes from the command
-_TIM_FIELDS = tuple(f.name for f in dataclasses.fields(TimConfig) if f.name != "variant")
+_TIM_FIELDS = tuple(f for f in dataclasses.fields(TimConfig) if f.name != "variant")
+
+# verify-theory's per-property instance counts, with their defaults
+_THEORY_COUNTS = {name: p.default for name, p in
+                  inspect.signature(bench.run_theory_suite).parameters.items()
+                  if name.endswith("_instances")}
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -48,14 +56,10 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_tim_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("solver overrides (defaults from TimConfig)")
-    group.add_argument("--tim-tau", type=float, default=None)
-    group.add_argument("--tim-lambda-ce", type=float, default=None)
-    group.add_argument("--tim-alpha-cond", type=float, default=None)
-    group.add_argument("--tim-iterations", type=int, default=None)
-    group.add_argument("--tim-transform-start", type=int, default=None)
-    group.add_argument("--tim-lr-theta", type=float, default=None)
-    group.add_argument("--tim-lr-w", type=float, default=None)
-    group.add_argument("--tim-update-rule", choices=UPDATE_RULES, default=None)
+    for f in _TIM_FIELDS:
+        group.add_argument(f"--tim-{f.name.replace('_', '-')}", type=type(f.default),
+                           choices=UPDATE_RULES if f.name == "update_rule" else None,
+                           default=None)
 
 
 def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -96,7 +100,7 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             setattr(args, action.dest, value)
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
+def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FTTIM_SEED")
@@ -104,8 +108,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"FTTIM_SEED is not an integer: {env!r}")
+            parser.error(f"FTTIM_SEED is not an integer: {env!r}")
     return 0
+
+
+def _with_bank(parser: argparse.ArgumentParser, path: str | None, run):
+    """``run()``, with a feature bank that cannot be read, parsed or sampled
+    from reported as a usage error: one line that names the file, and the
+    line for a format error. A pool worker's error is raised here too."""
+    try:
+        return run()
+    except FeatureFormatError as exc:  # names the file and line itself
+        parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"{exc.filename}: {exc.strerror}")
+    except TooFewClassesError as exc:
+        parser.error(f"{path}: {exc}")
 
 
 def _validate_campaign(args, parser: argparse.ArgumentParser) -> None:
@@ -124,30 +142,25 @@ def _validate_campaign(args, parser: argparse.ArgumentParser) -> None:
 
 
 def _source(args):
+    shape = dict(num_classes=args.ways, queries_per_class=args.queries,
+                 heldout_per_class=args.heldout)
     if args.synthetic:
         return bench.SyntheticSource(
-            num_classes=args.ways,
             dim=args.dim,
             relevant_dims=args.relevant_dims,
             intra_class_stddev=args.class_stddev,
             inter_class_separation=args.class_separation,
-            queries_per_class=args.queries,
-            heldout_per_class=args.heldout,
+            **shape,
         )
-    return bench.BankSource(
-        path=args.features,
-        num_classes=args.ways,
-        queries_per_class=args.queries,
-        heldout_per_class=args.heldout,
-    )
+    return bench.BankSource(path=args.features, **shape)
 
 
 def _tim_config(args, variant: str, parser: argparse.ArgumentParser) -> TimConfig:
     overrides = {"variant": variant}
-    for name in _TIM_FIELDS:
-        value = getattr(args, f"tim_{name}")
+    for f in _TIM_FIELDS:
+        value = getattr(args, f"tim_{f.name}")
         if value is not None:
-            overrides[name] = value
+            overrides[f.name] = value
     try:
         return TimConfig(**overrides)
     except ValueError as exc:
@@ -157,10 +170,11 @@ def _tim_config(args, variant: str, parser: argparse.ArgumentParser) -> TimConfi
 def _cmd_evaluate(args, parser, argv) -> int:
     _merge_config_file(args, parser, argv)
     _validate_campaign(args, parser)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     config = _tim_config(args, args.variant, parser)
     workers = args.workers or bench.default_workers()
-    report = bench.evaluate(_source(args), config, args.episodes, seed, workers)
+    report = _with_bank(parser, args.features, lambda: bench.evaluate(
+        _source(args), config, args.episodes, seed, workers))
     print(report.table())
     print(f"wall_time_s: {report.wall_time_s:.2f}")
     out = args.out or "eval_report.json"
@@ -172,10 +186,11 @@ def _cmd_evaluate(args, parser, argv) -> int:
 def _cmd_compare(args, parser, argv) -> int:
     _merge_config_file(args, parser, argv)
     _validate_campaign(args, parser)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     config = _tim_config(args, "ft_tim", parser)
     workers = args.workers or bench.default_workers()
-    report = bench.compare(_source(args), config, args.episodes, seed, workers)
+    report = _with_bank(parser, args.features, lambda: bench.compare(
+        _source(args), config, args.episodes, seed, workers))
     print(report.table())
     out = args.out or "compare_report.json"
     bench.write_json(report.to_json_dict(), out)
@@ -185,27 +200,29 @@ def _cmd_compare(args, parser, argv) -> int:
 
 def _cmd_verify_theory(args, parser, argv) -> int:
     _merge_config_file(args, parser, argv)
-    seed = _resolve_seed(args)
+    counts = {name: getattr(args, name) for name in _THEORY_COUNTS}
+    for name, count in counts.items():
+        if count < 1:
+            parser.error(f"--{name.replace('_', '-')} must be at least 1")
+    if args.tau_sweep:
+        try:
+            taus = tuple(float(t) for t in args.tau_sweep.split(","))
+        except ValueError:
+            taus = ()
+        if not taus or not all(math.isfinite(t) and t > 0 for t in taus):
+            parser.error("--tau-sweep must be a comma-separated list of finite floats > 0")
+        if args.gap_instances < 1:
+            parser.error("--gap-instances must be at least 1")
+    seed = _resolve_seed(args, parser)
     if args.tamper_scale is not None:
         analysis._CLUSTERING_SCALE_OVERRIDE = args.tamper_scale
     try:
-        results = bench.run_theory_suite(
-            decomposition_instances=args.decomposition_instances,
-            kkt_instances=args.kkt_instances,
-            lloyd_instances=args.lloyd_instances,
-            mm_instances=args.mm_instances,
-            sweep_instances=args.sweep_instances,
-            base_seed=seed,
-        )
+        results = bench.run_theory_suite(**counts, base_seed=seed)
     finally:
         analysis._CLUSTERING_SCALE_OVERRIDE = None
     for r in results:
         print(r.line())
     if args.tau_sweep:
-        try:
-            taus = tuple(float(t) for t in args.tau_sweep.split(","))
-        except ValueError:
-            parser.error("--tau-sweep must be a comma-separated list of floats")
         out = args.out or "gap_trace.csv"
         bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
                               base_seed=seed)
@@ -219,9 +236,10 @@ def _cmd_export(args, parser, argv) -> int:
     _validate_campaign(args, parser)
     if not args.out:
         parser.error("--out directory is required for export-embeddings")
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     config = _tim_config(args, args.variant, parser)
-    result = bench.export_embeddings(_source(args), config, seed, args.out)
+    result = _with_bank(parser, args.features, lambda: bench.export_embeddings(
+        _source(args), config, seed, args.out))
     for name, path in result.paths.items():
         print(f"{name}: {path}")
     print(f"class separation before transform: {result.separation_before:.4f}")
@@ -256,11 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-theory", allow_abbrev=False,
                            help="numeric verification of the clustering-side theory")
-    p_ver.add_argument("--decomposition-instances", type=int, default=1000)
-    p_ver.add_argument("--kkt-instances", type=int, default=100)
-    p_ver.add_argument("--lloyd-instances", type=int, default=200)
-    p_ver.add_argument("--mm-instances", type=int, default=500)
-    p_ver.add_argument("--sweep-instances", type=int, default=100)
+    for name, default in _THEORY_COUNTS.items():
+        p_ver.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
     p_ver.add_argument("--gap-instances", type=int, default=100)
     p_ver.add_argument("--tau-sweep", metavar="T1,T2,...",
                        help="emit a per-instance gap CSV at these temperatures")

@@ -22,22 +22,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .features import (
-    DegenerateVectorError,
-    Episode,
-    FeatureBank,
-    l2_normalize_rows,
-    load_feature_bank,
-    write_feature_bank,
-)
+from .features import DegenerateVectorError, Episode, l2_normalize_rows
 from .transform import init_transform, norm_induced_map
 
 VARIANTS = ("ft_tim", "tim_baseline", "linear_transform")
@@ -92,9 +83,6 @@ class TimConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SolverState:
@@ -120,11 +108,6 @@ class RunResult(NamedTuple):
     predictions: np.ndarray
     state: SolverState
     trace: list[tuple[float, float, float]]
-
-
-class SemiSupervisedResult(NamedTuple):
-    heldout_predictions: np.ndarray
-    state: SolverState
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -158,20 +141,6 @@ def transform_active(iteration: int, config: TimConfig) -> bool:
     return config.variant != "tim_baseline" and iteration >= config.transform_start
 
 
-def _transformed(
-    X: np.ndarray, W: np.ndarray, variant: str,
-    x_sq: np.ndarray | None = None, scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, norms): the variant's map outputs for one episode or a stack of
-    them, and their row norms. ``x_sq`` and ``scratch`` are passed on to
-    :func:`norm_induced_map`."""
-    if variant == "linear_transform":
-        raw = X @ W.swapaxes(-1, -2)
-    else:
-        raw = norm_induced_map(X, W, x_sq, scratch)
-    return raw, np.sqrt(np.add.reduce(raw * raw, axis=-1))
-
-
 def _too_small(norms: np.ndarray) -> np.ndarray | None:
     """Per stacked episode (leading axes of ``norms``), whether some row norm
     is too small to normalize, or None when no episode has one. The
@@ -191,6 +160,29 @@ def _degenerate_reason(norms: np.ndarray) -> str:
     return f"transformed feature {row} has norm {norms[row]:.3g}, too small to normalize"
 
 
+def _normalized(
+    X: np.ndarray, W: np.ndarray, variant: str,
+    x_sq: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list[str]]:
+    """(z, raw, norms, failed, reasons): the variant's map outputs for one
+    episode or a stack of them, unit-normalized, with the outputs and their
+    row norms. ``failed`` is None when every episode's rows can be
+    normalized; otherwise it masks the leading axes (0-d for one episode),
+    ``reasons`` says why for each failed episode, and the other three hold
+    only the episodes that did not fail. ``x_sq`` and ``scratch`` are passed
+    on to :func:`norm_induced_map`."""
+    if variant == "linear_transform":
+        raw = X @ W.swapaxes(-1, -2)
+    else:
+        raw = norm_induced_map(X, W, x_sq, scratch)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=-1))
+    failed, reasons = _too_small(norms), []
+    if failed is not None:
+        reasons = [_degenerate_reason(n) for n in norms[failed]]
+        raw, norms = raw[~failed], norms[~failed]
+    return raw / norms[..., None], raw, norms, failed, reasons
+
+
 def _pipeline(
     X: np.ndarray, W: np.ndarray, active: bool, variant: str,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -205,10 +197,10 @@ def _pipeline(
     """
     if not active:
         return X, None, None
-    raw, norms = _transformed(X, W, variant)
-    if _too_small(norms) is not None:
-        raise DegenerateVectorError(_degenerate_reason(norms))
-    return raw / norms[..., None], raw, norms
+    z, raw, norms, failed, reasons = _normalized(X, W, variant)
+    if failed is not None:
+        raise DegenerateVectorError(reasons[0])
+    return z, raw, norms
 
 
 def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.ndarray:
@@ -336,14 +328,12 @@ class Batch:
         if not active:
             self.z = self.X
             return posteriors(self.X, self.theta, cfg.tau, self.f2)
-        raw, norms = _transformed(self.X, self.W, cfg.variant, self.x_sq, self.scratch)
-        small = _too_small(norms)
-        if small is not None:
-            self._drop(small, [_degenerate_reason(n) for n in norms[small]])
-            raw, norms = raw[~small], norms[~small]
-        self.raw, self.norms = raw, norms
-        self.z = raw / norms[:, :, None]
-        return posteriors(self.z, self.theta, cfg.tau)
+        z, raw, norms, failed, reasons = _normalized(self.X, self.W, cfg.variant,
+                                                     self.x_sq, self.scratch)
+        if failed is not None:
+            self._drop(failed, reasons)
+        self.z, self.raw, self.norms = z, raw, norms
+        return posteriors(z, self.theta, cfg.tau)
 
     def loss_terms(self, p: np.ndarray) -> list[LossTerms]:
         """The loss terms of each episode from its stacked (support, query)
@@ -627,51 +617,3 @@ def predict_features(
                         config.variant)
     p = posteriors(z, state.prototypes, config.tau)
     return np.argmax(p, axis=1), p
-
-
-def run_semi_supervised(episode: Episode, config: TimConfig) -> SemiSupervisedResult:
-    """Fit on support plus unlabeled queries, then classify the held-out split.
-
-    Raises:
-        ValueError: if the episode has no held-out split.
-    """
-    if episode.heldout_vectors is None or len(episode.heldout_vectors) == 0:
-        raise ValueError("episode has no held-out split")
-    result = run_ft_tim(episode, config)
-    preds, _ = predict_features(episode.heldout_vectors, result.state, config)
-    return SemiSupervisedResult(preds, result.state)
-
-
-def save_checkpoint(state: SolverState, directory: str | Path) -> None:
-    """Dump W, prototypes (feature-table files) and the loss trace (JSON)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    d = state.W.shape[0]
-    write_feature_bank(
-        FeatureBank(dim=d, class_ids=np.arange(d), vectors=state.W),
-        directory / "transform.csv",
-    )
-    write_feature_bank(
-        FeatureBank(
-            dim=state.prototypes.shape[1],
-            class_ids=np.arange(state.prototypes.shape[0]),
-            vectors=state.prototypes,
-        ),
-        directory / "prototypes.csv",
-    )
-    payload = {
-        "iterations": state.iter,
-        "loss_trace": [list(t) for t in state.loss_trace],
-    }
-    (directory / "trace.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_checkpoint(directory: str | Path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Load (W, prototypes, trace payload) written by :func:`save_checkpoint`."""
-    directory = Path(directory)
-    W = load_feature_bank(directory / "transform.csv").vectors
-    prototypes = load_feature_bank(directory / "prototypes.csv").vectors
-    payload = json.loads((directory / "trace.json").read_text(encoding="utf-8"))
-    return W, prototypes, payload

@@ -35,6 +35,11 @@ class DegenerateVectorError(ValueError):
     """An operation would have to normalize a zero vector."""
 
 
+class TooFewClassesError(ValueError):
+    """A feature bank has fewer classes with enough records than an episode
+    needs."""
+
+
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of a 2-D array, or of a stack of them
     along leading axes."""
@@ -122,14 +127,12 @@ def _check_record_characters(path: Path, text: str) -> None:
         raise FeatureFormatError(f"{path}: line {lineno}: {why}")
 
 
-def load_feature_bank(path: str | Path, format: str = "csv") -> FeatureBank:
+def load_feature_bank(path: str | Path) -> FeatureBank:
     """Parse a feature-table file into a :class:`FeatureBank`.
 
     Every format violation is reported with the 1-based line number of the
     offending line.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     path = Path(path)
     text = path.read_bytes().decode("utf-8")  # no newline translation
     if text == "":
@@ -261,37 +264,38 @@ def sample_episode(
     need = 1 + queries_per_class + heldout_per_class
     eligible = [cid for cid in bank.classes() if bank.class_index[cid].size >= need]
     if len(eligible) < num_classes:
-        raise ValueError(
+        raise TooFewClassesError(
             f"need {num_classes} classes with >= {need} records each, "
             f"bank has {len(eligible)} eligible of {len(bank.classes())} total"
         )
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(np.asarray(eligible, dtype=np.int64),
                                 size=num_classes, replace=False))
-    support, squery, sheld = [], [], []
-    for cid in chosen:
-        picked = rng.choice(bank.class_index[int(cid)], size=need, replace=False)
-        support.append(picked[0])
-        squery.extend(picked[1:1 + queries_per_class])
-        sheld.extend(picked[1 + queries_per_class:])
-    support = np.asarray(support)
-    squery = np.asarray(squery, dtype=np.int64)
-    labels_of = {int(cid): lab for lab, cid in enumerate(chosen)}
-    q_labels = np.asarray([labels_of[int(bank.class_ids[i])] for i in squery])
+    picked = [rng.choice(bank.class_index[int(cid)], size=need, replace=False)
+              for cid in chosen]
+    return _episode_from_blocks(bank.vectors[np.array(picked)], queries_per_class,
+                                heldout_per_class)
+
+
+def _episode_from_blocks(blocks: np.ndarray, queries_per_class: int,
+                         heldout_per_class: int) -> Episode:
+    """The episode whose raw vectors are the (C, 1 + queries + held-out, d)
+    class blocks: block c holds class c's support vector, then its queries,
+    then its held-out vectors. Every vector is unit-normalized."""
+    C, _, d = blocks.shape
+    q = queries_per_class
+    labels = np.arange(C, dtype=np.int64)
     episode = Episode(
-        num_classes=num_classes,
-        dim=bank.dim,
-        support_labels=np.arange(num_classes, dtype=np.int64),
-        support_vectors=l2_normalize_rows(bank.vectors[support]),
-        query_vectors=l2_normalize_rows(bank.vectors[squery]),
-        query_hidden_labels=q_labels,
+        num_classes=C,
+        dim=d,
+        support_labels=labels,
+        support_vectors=l2_normalize_rows(blocks[:, 0]),
+        query_vectors=l2_normalize_rows(blocks[:, 1:1 + q].reshape(-1, d)),
+        query_hidden_labels=np.repeat(labels, q),
     )
-    if heldout_per_class > 0:
-        sheld = np.asarray(sheld, dtype=np.int64)
-        episode.heldout_vectors = l2_normalize_rows(bank.vectors[sheld])
-        episode.heldout_hidden_labels = np.asarray(
-            [labels_of[int(bank.class_ids[i])] for i in sheld]
-        )
+    if heldout_per_class:
+        episode.heldout_vectors = l2_normalize_rows(blocks[:, 1 + q:].reshape(-1, d))
+        episode.heldout_hidden_labels = np.repeat(labels, heldout_per_class)
     episode.validate()
     return episode
 
@@ -356,21 +360,7 @@ def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
     """Build a reproducible synthetic episode from a :class:`SyntheticTaskSpec`."""
     _check_spec(spec)
     blocks = _synthetic_blocks(spec, np.random.default_rng(spec.seed))
-    C, d, q = spec.num_classes, spec.dim, spec.queries_per_class
-    labels = np.arange(C, dtype=np.int64)
-    episode = Episode(
-        num_classes=C,
-        dim=d,
-        support_labels=labels,
-        support_vectors=l2_normalize_rows(blocks[:, 0]),
-        query_vectors=l2_normalize_rows(blocks[:, 1:1 + q].reshape(-1, d)),
-        query_hidden_labels=np.repeat(labels, q),
-    )
-    if spec.heldout_per_class:
-        episode.heldout_vectors = l2_normalize_rows(blocks[:, 1 + q:].reshape(-1, d))
-        episode.heldout_hidden_labels = np.repeat(labels, spec.heldout_per_class)
-    episode.validate()
-    return episode
+    return _episode_from_blocks(blocks, spec.queries_per_class, spec.heldout_per_class)
 
 
 def class_separation_ratio(vectors: np.ndarray, labels: np.ndarray) -> float:

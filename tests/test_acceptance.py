@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The variant-ordering and semi-supervised criteria share one 600-episode
-paired campaign (the semi-supervised protocol scores the held-out split of
-the same fitted state, which is bitwise-identical to run_semi_supervised;
-see test_engine.test_semi_supervised_equals_predict_on_fitted_state).
+paired campaign (the semi-supervised protocol scores the held-out split
+through the fitted state of the same solve, with predict_features).
 """
 
 import json

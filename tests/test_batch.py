@@ -24,7 +24,7 @@ from fttim import (
 )
 from fttim.bench import SyntheticSource
 from fttim.cli import main
-from fttim.engine import UPDATE_RULES, VARIANTS, Batch, _pipeline, stack_limit
+from fttim.engine import UPDATE_RULES, VARIANTS, Batch, _normalized, stack_limit
 
 SMALL = SyntheticSource(dim=16, relevant_dims=6, queries_per_class=4)
 QUICK = TimConfig(iterations=40, transform_start=15)
@@ -174,14 +174,20 @@ def test_norm_whose_cube_underflows_is_degenerate_and_larger_is_not():
     X = np.eye(3)
     for scale, bad in ((1e-103, True), (3e-103, False), (0.0, True)):
         W = np.diag([1.0, 1.0, scale])
+        z, _, _, failed, reasons = _normalized(X, W, "linear_transform")
         if bad:
-            with pytest.raises(DegenerateVectorError, match="transformed feature 2"):
-                _pipeline(X, W, True, "linear_transform")
+            assert failed and len(z) == 0
+            assert len(reasons) == 1 and reasons[0].startswith("transformed feature 2")
         else:
-            z, _, _ = _pipeline(X, W, True, "linear_transform")
+            assert failed is None and reasons == []
             assert np.all(np.isfinite(z))
-    with pytest.raises(DegenerateVectorError, match="^transformed feature 2 is the zero vector$"):
-        _pipeline(X, np.diag([1.0, 1.0, 0.0]), True, "linear_transform")
+    _, _, _, _, reasons = _normalized(X, np.diag([1.0, 1.0, 0.0]), "linear_transform")
+    assert reasons == ["transformed feature 2 is the zero vector"]
+    # in a stack, only the failed episode's rows leave, with its own reason
+    W = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-103]), 2 * np.eye(3)])
+    z, raw, norms, failed, reasons = _normalized(np.stack([X] * 3), W, "linear_transform")
+    assert failed.tolist() == [False, True, False] and z.shape == (2, 3, 3)
+    assert reasons == ["transformed feature 2 has norm 1e-103, too small to normalize"]
 
 
 def test_near_zero_norm_fails_the_episode_at_iteration_zero():

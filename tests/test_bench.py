@@ -1,9 +1,12 @@
 """Campaign runner, report schema, CLI flags, theory harness, export."""
 
+import importlib
+import importlib.util
 import json
 import os
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,45 @@ def test_evaluate_report_schema(tmp_path, capsys):
     assert echo["tim"]["iterations"] == 60
     table = capsys.readouterr().out
     assert "ft_tim" in table
+
+
+def test_config_echo_and_paired_key_order(tmp_path):
+    # the echo, its source and tim entries, and compare's paired entries are
+    # built from dataclass fields, so their key order is pinned here
+    config = TimConfig(iterations=4, transform_start=2)
+    synthetic = bench.SyntheticSource(dim=8, relevant_dims=3, queries_per_class=2)
+    echo = bench.evaluate(synthetic, config, 1, 0).to_json_dict()["config_echo"]
+    assert list(echo) == ["source", "protocol", "episodes", "base_seed", "tim"]
+    assert list(echo["source"]) == [
+        "kind", "num_classes", "dim", "relevant_dims", "intra_class_stddev",
+        "inter_class_separation", "queries_per_class", "heldout_per_class"]
+    assert list(echo["tim"]) == [
+        "tau", "lambda_ce", "alpha_cond", "iterations", "transform_start",
+        "lr_theta", "lr_w", "update_rule", "variant"]
+    bank_path = tmp_path / "bank.csv"
+    rng = np.random.default_rng(0)
+    write_feature_bank(FeatureBank(dim=4, class_ids=np.repeat(np.arange(3), 3),
+                                   vectors=rng.standard_normal((9, 4))), bank_path)
+    bank = bench.BankSource(str(bank_path), num_classes=2, queries_per_class=2)
+    echo = bench.evaluate(bank, config, 1, 0).to_json_dict()["config_echo"]
+    assert list(echo["source"]) == [
+        "kind", "path", "num_classes", "queries_per_class", "heldout_per_class"]
+    paired = bench.compare(synthetic, config, 1, 0).to_json_dict()["paired"]
+    assert [list(p) for p in paired] == [
+        ["pair", "n", "mean_diff", "ci95_halfwidth", "wins", "losses", "ties"]] * 2
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer patches these module attributes by name, so a
+    # renamed or removed function would silently lose its span
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module, attr, _ in tracing.PATCHES:
+        assert callable(getattr(importlib.import_module(f"fttim.{module}"), attr, None)), \
+            (module, attr)
 
 
 def test_evaluate_deterministic_across_runs_and_workers(tmp_path):
@@ -121,6 +163,43 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     args.remove("--seed")
     assert main(args) == 0
     assert json.loads(out.read_text())["config_echo"]["base_seed"] == 321
+
+
+def test_non_integer_seed_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FTTIM_SEED", "seven")
+    args = _fast_args(episodes=1)
+    del args[args.index("--seed"):args.index("--seed") + 2]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "error: FTTIM_SEED is not an integer: 'seven'" in capsys.readouterr().err
+
+
+def _unusable_bank(tmp_path, case):
+    """(path, reason) of a feature bank that cannot be used."""
+    path = tmp_path / f"{case}.csv"
+    if case == "malformed":
+        path.write_text("d=2 n=2\n0,1.0,2.0\n1,x,2.0\n")
+        return path, "line 3: non-numeric feature field"
+    if case == "too_few_classes":
+        write_feature_bank(FeatureBank(dim=2, class_ids=np.repeat([0, 1], 20),
+                                       vectors=np.ones((40, 2))), path)
+        return path, "need 5 classes with >= 16 records each, bank has 2 eligible of 2 total"
+    return path, "No such file or directory"
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "too_few_classes"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
+def test_unusable_bank_is_usage_error(tmp_path, capsys, command, workers, case):
+    path, reason = _unusable_bank(tmp_path, case)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--features", str(path), "--episodes", "4",
+              "--workers", workers, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"fttim {command}: error: {path}: {reason}"
 
 
 def test_config_file_merging_and_flag_priority(tmp_path):
@@ -452,6 +531,35 @@ def test_verify_theory_small_run_passes(capsys):
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
     assert all(re.fullmatch(r"PASS  .+: \d+/\d+  \(.+ [-+]?\d\.\d\de[-+]\d+\)", line)
                for line in lines), lines
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--decomposition-instances", "-3", "--decomposition-instances must be at least 1"),
+    ("--kkt-instances", "0", "--kkt-instances must be at least 1"),
+    ("--lloyd-instances", "0", "--lloyd-instances must be at least 1"),
+    ("--mm-instances", "-1", "--mm-instances must be at least 1"),
+    ("--sweep-instances", "0", "--sweep-instances must be at least 1"),
+    *[("--tau-sweep", taus, "--tau-sweep must be a comma-separated list of finite floats > 0")
+      for taus in ("1,x", "1,,0.1", "1,0", "1,-0.1", "nan", "1,inf")],
+])
+def test_verify_theory_rejects_bad_arguments_before_running(
+        monkeypatch, capsys, flag, value, message):
+    def run_theory_suite(**kwargs):
+        raise AssertionError("the suite ran before its arguments were checked")
+    monkeypatch.setattr(bench, "run_theory_suite", run_theory_suite)
+    with pytest.raises(SystemExit) as exc:
+        main(list(_SMALL_THEORY) + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"fttim verify-theory: error: {message}"
+
+
+def test_verify_theory_gap_instances_checked_only_with_a_sweep(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(_SMALL_THEORY) + ["--tau-sweep", "1,0.1", "--gap-instances", "0"])
+    assert exc.value.code == 2
+    assert "--gap-instances must be at least 1" in capsys.readouterr().err
+    assert main(list(_SMALL_THEORY) + ["--gap-instances", "0"]) == 0
 
 
 def test_verify_theory_tamper_canary_fails(capsys):

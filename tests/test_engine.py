@@ -15,9 +15,6 @@ from fttim import (
     posteriors,
     predict_features,
     run_ft_tim,
-    run_semi_supervised,
-    save_checkpoint,
-    load_checkpoint,
     tim_gradients,
     tim_loss,
 )
@@ -397,25 +394,10 @@ def test_hidden_labels_cannot_influence_predictions():
 
 def test_semi_supervised_trivially_separable():
     episode = _episode(seed=28, sep=4.0, sd=0.05, qpc=6, heldout=3)
-    result = run_semi_supervised(episode, TimConfig())
-    assert np.mean(
-        result.heldout_predictions == episode.heldout_hidden_labels
-    ) == 1.0
-
-
-def test_semi_supervised_equals_predict_on_fitted_state():
-    episode = _episode(seed=29, heldout=4)
-    cfg = TimConfig(iterations=60, transform_start=20)
-    semi = run_semi_supervised(episode, cfg)
-    fitted = run_ft_tim(episode, cfg)
-    preds, _ = predict_features(episode.heldout_vectors, fitted.state, cfg)
-    assert np.array_equal(semi.heldout_predictions, preds)
-
-
-def test_semi_supervised_requires_heldout():
-    episode = _episode(seed=30, heldout=0)
-    with pytest.raises(ValueError, match="held-out"):
-        run_semi_supervised(episode, TimConfig())
+    config = TimConfig()
+    state = run_ft_tim(episode, config).state
+    preds, _ = predict_features(episode.heldout_vectors, state, config)
+    assert np.mean(preds == episode.heldout_hidden_labels) == 1.0
 
 
 # --- variant ordering (reduced suite; the full one runs in acceptance) -----
@@ -430,17 +412,3 @@ def test_variant_ordering_direction_on_small_suite():
         accs[variant] = float(np.mean([o.accuracy for o in outcomes]))
     assert accs["ft_tim"] > accs["tim_baseline"]
     assert accs["ft_tim"] > accs["linear_transform"]
-
-
-# --- checkpoints ------------------------------------------------------------
-
-def test_checkpoint_round_trip(tmp_path):
-    episode = _episode(seed=31)
-    cfg = TimConfig(iterations=30, transform_start=10)
-    result = run_ft_tim(episode, cfg)
-    save_checkpoint(result.state, tmp_path)
-    W, prototypes, payload = load_checkpoint(tmp_path)
-    assert W.tobytes() == result.state.W.tobytes()
-    assert prototypes.tobytes() == result.state.prototypes.tobytes()
-    assert payload["iterations"] == 30
-    assert payload["loss_trace"] == [list(t) for t in result.trace]

@@ -105,12 +105,6 @@ def test_large_finite_values_load(tmp_path):
     assert load_feature_bank(p).vectors.tolist() == [[1e308, 1e308]]
 
 
-def test_unknown_format_rejected(tmp_path):
-    p = _write(tmp_path, "d=2 n=0\n")
-    with pytest.raises(ValueError, match="format"):
-        load_feature_bank(p, format="parquet")
-
-
 def test_write_load_write_byte_identical(tmp_path):
     rng = np.random.default_rng(7)
     for k in range(5):

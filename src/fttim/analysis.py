@@ -22,9 +22,7 @@ Two scalings of the barrier coexist here, deliberately:
   (tau/2) J + sum q log q, the form whose exact simplex minimizer is the
   distance softmax; the projected-gradient oracle minimizes this one.
 
-By default all operations use the raw (un-normalized) map outputs;
-``normalized=True`` runs the same analysis on the unit-normalized features
-the inference path uses.
+All operations use the raw (un-normalized) map outputs.
 
 The private helpers take stacks of instances along leading axes, (B, n, d)
 features and (B, C, d) prototypes, the way the solver's kernel does: every
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _grad_raw, _grad_w, _pipeline, _softmax_rows
+from .engine import _grad_w, _softmax_rows
 from .features import (
     Episode,
     SyntheticTaskSpec,
@@ -146,19 +144,9 @@ def _largest_rises(series: np.ndarray) -> list[float]:
             for column in (series[1:] - series[:-1]).T.tolist()]
 
 
-def _map(X: np.ndarray, W: np.ndarray, normalized: bool) -> np.ndarray:
-    # normalized outputs come from the solver's own pipeline, which raises
-    # DegenerateVectorError (a ValueError) on a zero output
-    if normalized:
-        return _pipeline(X, W, True, "ft_tim")[0]
-    return norm_induced_map(X, W)
-
-
-def transformed_query_features(
-    episode: Episode, W: np.ndarray, normalized: bool = False
-) -> np.ndarray:
-    """Query features under the map: raw outputs, or unit-normalized ones."""
-    return _map(episode.query_vectors, W, normalized)
+def transformed_query_features(episode: Episode, W: np.ndarray) -> np.ndarray:
+    """Query features under the map: its raw outputs."""
+    return norm_induced_map(episode.query_vectors, W)
 
 
 def squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -168,9 +156,8 @@ def squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarra
     return np.add.reduce(diff * diff, axis=-1)
 
 
-def _d2(X: np.ndarray, W: np.ndarray, prototypes: np.ndarray,
-        normalized: bool) -> np.ndarray:
-    return squared_distances(_map(X, W, normalized), prototypes)
+def _d2(X: np.ndarray, W: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    return squared_distances(norm_induced_map(X, W), prototypes)
 
 
 def _soft_rows(d2: np.ndarray, tau: float) -> np.ndarray:
@@ -192,11 +179,10 @@ def kmeans_objective(
     W: np.ndarray,
     prototypes: np.ndarray,
     assignments: AssignmentMatrix | np.ndarray,
-    normalized: bool = False,
 ) -> float:
     """Assignment-weighted sum of squared prototype distances over the queries."""
     q = _rows(assignments)
-    F = transformed_query_features(episode, W, normalized)
+    F = transformed_query_features(episode, W)
     if prototypes.shape[1] != F.shape[1] or q.shape != (F.shape[0], prototypes.shape[0]):
         raise ValueError("dimension mismatch between features, prototypes, assignments")
     return _j_value(squared_distances(F, prototypes), q)
@@ -207,12 +193,11 @@ def kkt_soft_assignments(
     W: np.ndarray,
     prototypes: np.ndarray,
     tau: float,
-    normalized: bool = False,
 ) -> AssignmentMatrix:
     """Distance-softmax assignment rows, the closed-form minimizer of the
     temperature-consistent soft objective (see module docstring)."""
     return AssignmentMatrix(
-        _soft_rows(_d2(episode.query_vectors, W, prototypes, normalized), tau))
+        _soft_rows(_d2(episode.query_vectors, W, prototypes), tau))
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
@@ -230,11 +215,10 @@ def clustering_term(
     W: np.ndarray,
     prototypes: np.ndarray,
     tau: float,
-    normalized: bool = False,
 ) -> float:
     """Softmax-weighted sum of squared distances (the K-means-like part of
     the query entropy)."""
-    d2 = _d2(episode.query_vectors, W, prototypes, normalized)
+    d2 = _d2(episode.query_vectors, W, prototypes)
     return _j_value(d2, _soft_rows(d2, tau))
 
 
@@ -260,7 +244,6 @@ def entropy_decomposition(
     W: np.ndarray,
     prototypes: np.ndarray,
     tau: float,
-    normalized: bool = False,
 ) -> ObjectiveBreakdown:
     """Split the total query entropy into clustering and dispersion parts.
 
@@ -271,7 +254,7 @@ def entropy_decomposition(
     coincides with the clustering term.
     """
     entropy, clustering, dispersion, residual = _decompose(
-        _d2(episode.query_vectors, W, prototypes, normalized), tau)
+        _d2(episode.query_vectors, W, prototypes), tau)
     if residual > 1e-8:
         raise InternalConsistencyError(
             f"entropy decomposition identity violated by {residual:.3e} (relative)"
@@ -291,11 +274,10 @@ def decomposition_residual(
     W: np.ndarray,
     prototypes: np.ndarray,
     tau: float,
-    normalized: bool = False,
 ) -> float:
     """Relative residual of the entropy decomposition identity, from the two
     independent float paths of :func:`entropy_decomposition`."""
-    return float(_decompose(_d2(episode.query_vectors, W, prototypes, normalized), tau)[3])
+    return float(_decompose(_d2(episode.query_vectors, W, prototypes), tau)[3])
 
 
 def soft_assignment_objective(
@@ -331,7 +313,6 @@ def bound_check(
     prototypes: np.ndarray,
     tau: float,
     assignments: AssignmentMatrix | np.ndarray,
-    normalized: bool = False,
     sweep: tuple[float, ...] = (1.0, 0.1, 0.01, 0.001),
 ) -> BoundCheck:
     """Measure the softened-bound value J + (tau/2) sum q log q against the
@@ -344,7 +325,7 @@ def bound_check(
     of that magnitude.
     """
     q = _rows(assignments)
-    d2 = _d2(episode.query_vectors, W, prototypes, normalized)
+    d2 = _d2(episode.query_vectors, W, prototypes)
     H = _j_value(d2, _soft_rows(d2, tau))
     bound = _j_value(d2, q) + barrier_value(q, tau)
     tight, rise = _sweep_gaps(d2[None], sweep)
@@ -410,16 +391,11 @@ def _w_steps(
     q_rows: np.ndarray,
     lr: float,
     steps: int,
-    normalized: bool,
 ) -> np.ndarray:
-    # gradient steps on J through the solver's backward helpers; with simplex
+    # gradient steps on J through the solver's backward helper; with simplex
     # rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)
     for _ in range(steps):
-        if normalized:
-            f, raw, norms = _pipeline(X, W, True, "ft_tim")
-            grad_raw = _grad_raw(2.0 * (f - q_rows @ theta), raw, norms)
-        else:
-            grad_raw = 2.0 * (norm_induced_map(X, W) - q_rows @ theta)
+        grad_raw = 2.0 * (norm_induced_map(X, W) - q_rows @ theta)
         W = W - lr * _grad_w(grad_raw, X, W, True)
     return W
 
@@ -437,7 +413,6 @@ def alternate_kmeans(
     w_steps_per_round: int = 1,
     lr_w: float = 0.005,
     tol: float = 1e-10,
-    normalized: bool = False,
     init_W: np.ndarray | None = None,
     init_prototypes: np.ndarray | None = None,
 ) -> KMeansResult:
@@ -461,7 +436,7 @@ def alternate_kmeans(
         else np.asarray(init_W, dtype=np.float64).copy()
     )
     if init_prototypes is None:
-        theta = _map(episode.support_vectors, W, normalized)
+        theta = norm_induced_map(episode.support_vectors, W)
     else:
         theta = np.asarray(init_prototypes, dtype=np.float64).copy()
 
@@ -469,7 +444,7 @@ def alternate_kmeans(
     q = None
     j_round_end = None
     for _ in range(max_rounds):
-        F = transformed_query_features(episode, W, normalized)
+        F = transformed_query_features(episode, W)
         d2 = squared_distances(F, theta)
         if q is not None:
             j_before = _j_value(d2, q)
@@ -484,8 +459,8 @@ def alternate_kmeans(
         trace.append(("means", j_means))
         j_end = j_means
         if w_steps_per_round > 0 and lr_w > 0:
-            W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round, normalized)
-            F = transformed_query_features(episode, W, normalized)
+            W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round)
+            F = transformed_query_features(episode, W)
             j_end = _j_value(squared_distances(F, theta), q)
             trace.append(("w_step", j_end))
         if j_round_end is not None and j_round_end - j_end < tol:
@@ -508,50 +483,39 @@ def mm_iteration(
     rounds: int,
     w_steps_per_round: int = 1,
     lr_w: float = 0.005,
-    assignment_mode: str = "soft",
-    normalized: bool = False,
 ) -> list[tuple[float, float]]:
     """Majorize-minimize rounds on the clustering term.
 
-    Each round fixes assignments (distance softmax, or hard nearest in
-    ``assignment_mode="hard"``), then minimizes the softened objective over
-    prototypes (weighted means) and the transform (gradient steps). Returns
-    one (H_value, bound_value) pair per round, evaluated after the round's
-    updates; in hard mode both entries are the hard-assignment K-means
-    objective, so a frozen-transform hard run reproduces Lloyd's trace
-    exactly.
+    Each round fixes the distance-softmax assignments, then minimizes the
+    softened objective over prototypes (weighted means) and the transform
+    (gradient steps). Returns one (H_value, bound_value) pair per round,
+    evaluated after the round's updates.
     """
-    if assignment_mode not in ("soft", "hard"):
-        raise ValueError("assignment_mode must be 'soft' or 'hard'")
     return _mm_trace(episode.query_vectors, np.asarray(init_W, dtype=np.float64),
                      np.asarray(init_prototypes, dtype=np.float64), tau, rounds,
-                     w_steps_per_round, lr_w, assignment_mode == "hard", normalized)
+                     w_steps_per_round, lr_w)
 
 
 def _mm_trace(
     X: np.ndarray, W: np.ndarray, theta: np.ndarray, tau: float, rounds: int,
-    w_steps_per_round: int, lr_w: float, hard: bool, normalized: bool,
+    w_steps_per_round: int, lr_w: float,
 ) -> list[tuple]:
     """The rounds of :func:`mm_iteration` from queries X, a transform W and
     prototypes theta, for one instance (float pairs) or a stack of them
     (pairs of per-instance arrays). W and theta are not changed."""
     trace = []
     for _ in range(rounds):
-        F = _map(X, W, normalized)
+        F = norm_induced_map(X, W)
         d2 = squared_distances(F, theta)
-        q = _hard_assign_rows(d2) if hard else _soft_rows(d2, tau)
+        q = _soft_rows(d2, tau)
         theta = _means_update(F, q, theta)
         if w_steps_per_round > 0 and lr_w > 0:
-            W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round, normalized)
-            F = _map(X, W, normalized)
+            W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round)
+            F = norm_induced_map(X, W)
         d2 = squared_distances(F, theta)
-        if hard:
-            j_now = _j_value(d2, q)
-            trace.append((j_now, j_now))
-        else:
-            h_now = _j_value(d2, _soft_rows(d2, tau))
-            bound = _j_value(d2, q) + barrier_value(q, tau)
-            trace.append((h_now, bound))
+        h_now = _j_value(d2, _soft_rows(d2, tau))
+        bound = _j_value(d2, q) + barrier_value(q, tau)
+        trace.append((h_now, bound))
     return trace
 
 

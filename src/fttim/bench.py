@@ -31,7 +31,6 @@ from .engine import (
     predict_features,
     run_ft_tim,
     stack_limit,
-    transform_active,
 )
 from .features import (
     DegenerateVectorError,
@@ -41,6 +40,7 @@ from .features import (
     load_feature_bank,
     sample_episode,
     SyntheticTaskSpec,
+    _check_spec,
     generate_synthetic_episode,
     write_feature_bank,
 )
@@ -60,6 +60,10 @@ class SyntheticSource:
     queries_per_class: int = 15
     heldout_per_class: int = 0
 
+    def __post_init__(self) -> None:
+        # parameters that cannot form a task are rejected when the source is made
+        _check_spec(SyntheticTaskSpec(**dataclasses.asdict(self)))
+
     def episode(self, seed: int) -> Episode:
         return generate_synthetic_episode(
             SyntheticTaskSpec(**dataclasses.asdict(self), seed=seed))
@@ -73,29 +77,24 @@ STANDARD_SUITE = {k: v for k, v in dataclasses.asdict(SyntheticSource()).items()
                   if k != "heldout_per_class"}
 
 
-_BANK_CACHE: dict[str, FeatureBank] = {}
-
-
-def _cached_bank(path: str) -> FeatureBank:
-    bank = _BANK_CACHE.get(path)
-    if bank is None:
-        bank = load_feature_bank(path)
-        _BANK_CACHE[path] = bank
-    return bank
-
-
 @dataclass(frozen=True)
 class BankSource:
-    """Episode factory sampling from an on-disk feature bank."""
+    """Episode factory sampling from an on-disk feature bank. The bank is
+    parsed once, when the source is made, so load errors are raised there;
+    pool workers receive it with the pickled source."""
 
     path: str
     num_classes: int = 5
     queries_per_class: int = 15
     heldout_per_class: int = 0
 
+    def __post_init__(self) -> None:
+        # not a field, so echo() and equality see only the parameters
+        object.__setattr__(self, "bank", load_feature_bank(self.path))
+
     def episode(self, seed: int) -> Episode:
         return sample_episode(
-            _cached_bank(self.path),
+            self.bank,
             num_classes=self.num_classes,
             queries_per_class=self.queries_per_class,
             heldout_per_class=self.heldout_per_class,
@@ -512,7 +511,7 @@ def _tally(name: str, check, instances: int, first_seed: int, share: float,
 def _query_d2(stack: analysis.RandomInstances) -> np.ndarray:
     """Squared distances from the raw transformed queries to the
     prototypes, (B, n, C)."""
-    return analysis._d2(stack.query, stack.W, stack.theta, False)
+    return analysis._d2(stack.query, stack.W, stack.theta)
 
 
 def decomposition_property(instances: int, first_seed: int) -> PropertyResult:
@@ -575,8 +574,7 @@ def mm_property(instances: int, first_seed: int) -> PropertyResult:
     def check(stack):
         d2 = _query_d2(stack)
         h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
-        trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5,
-                                   1, 0.005, False, False)
+        trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5, 1, 0.005)
         series = np.array([h0] + [h for h, _ in trace])
         ok = np.all(series[1:] <= series[:-1] + 1e-6, axis=0)
         return analysis._largest_rises(series), ok
@@ -688,8 +686,7 @@ def export_embeddings(
 
     X = np.vstack([episode.support_vectors, episode.query_vectors])
     labels = np.concatenate([episode.support_labels, episode.query_hidden_labels])
-    z, _, _ = _pipeline(X, state.W, transform_active(state.iter, config),
-                        config.variant)
+    z = _pipeline(X, state, config)
     nq = episode.num_queries
     paths = {}
 

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, bench
+from . import bench
 from .engine import TimConfig, UPDATE_RULES, VARIANTS
 from .features import FeatureFormatError, TooFewClassesError
 
@@ -141,10 +141,14 @@ def _validate_campaign(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--workers must be at least 1")
 
 
-def _source(args):
+def _source(args, parser: argparse.ArgumentParser):
+    """The campaign's episode source. Synthetic flags that cannot form a task
+    are a usage error; a bank's load errors are left to :func:`_with_bank`."""
     shape = dict(num_classes=args.ways, queries_per_class=args.queries,
                  heldout_per_class=args.heldout)
-    if args.synthetic:
+    if not args.synthetic:
+        return bench.BankSource(path=args.features, **shape)
+    try:
         return bench.SyntheticSource(
             dim=args.dim,
             relevant_dims=args.relevant_dims,
@@ -152,7 +156,8 @@ def _source(args):
             inter_class_separation=args.class_separation,
             **shape,
         )
-    return bench.BankSource(path=args.features, **shape)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _tim_config(args, variant: str, parser: argparse.ArgumentParser) -> TimConfig:
@@ -174,7 +179,7 @@ def _cmd_evaluate(args, parser, argv) -> int:
     config = _tim_config(args, args.variant, parser)
     workers = args.workers or bench.default_workers()
     report = _with_bank(parser, args.features, lambda: bench.evaluate(
-        _source(args), config, args.episodes, seed, workers))
+        _source(args, parser), config, args.episodes, seed, workers))
     print(report.table())
     print(f"wall_time_s: {report.wall_time_s:.2f}")
     out = args.out or "eval_report.json"
@@ -190,7 +195,7 @@ def _cmd_compare(args, parser, argv) -> int:
     config = _tim_config(args, "ft_tim", parser)
     workers = args.workers or bench.default_workers()
     report = _with_bank(parser, args.features, lambda: bench.compare(
-        _source(args), config, args.episodes, seed, workers))
+        _source(args, parser), config, args.episodes, seed, workers))
     print(report.table())
     out = args.out or "compare_report.json"
     bench.write_json(report.to_json_dict(), out)
@@ -214,12 +219,7 @@ def _cmd_verify_theory(args, parser, argv) -> int:
         if args.gap_instances < 1:
             parser.error("--gap-instances must be at least 1")
     seed = _resolve_seed(args, parser)
-    if args.tamper_scale is not None:
-        analysis._CLUSTERING_SCALE_OVERRIDE = args.tamper_scale
-    try:
-        results = bench.run_theory_suite(**counts, base_seed=seed)
-    finally:
-        analysis._CLUSTERING_SCALE_OVERRIDE = None
+    results = bench.run_theory_suite(**counts, base_seed=seed)
     for r in results:
         print(r.line())
     if args.tau_sweep:
@@ -239,7 +239,7 @@ def _cmd_export(args, parser, argv) -> int:
     seed = _resolve_seed(args, parser)
     config = _tim_config(args, args.variant, parser)
     result = _with_bank(parser, args.features, lambda: bench.export_embeddings(
-        _source(args), config, seed, args.out))
+        _source(args, parser), config, seed, args.out))
     for name, path in result.paths.items():
         print(f"{name}: {path}")
     print(f"class separation before transform: {result.separation_before:.4f}")
@@ -282,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", metavar="PATH")
     p_ver.add_argument("--config", metavar="FILE")
-    p_ver.add_argument("--tamper-scale", type=float, default=None,
-                       help=argparse.SUPPRESS)
     p_ver.set_defaults(func=_cmd_verify_theory, parser=p_ver)
 
     p_exp = sub.add_parser("export-embeddings", allow_abbrev=False,

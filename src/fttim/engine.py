@@ -183,24 +183,21 @@ def _normalized(
     return raw / norms[..., None], raw, norms, failed, reasons
 
 
-def _pipeline(
-    X: np.ndarray, W: np.ndarray, active: bool, variant: str,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Features fed to the classifier: (z, raw, raw_norms).
-
-    raw and raw_norms are None when the transform is inactive (z is then the
-    input itself, assumed unit-normalized).
+def _pipeline(X: np.ndarray, state: SolverState, config: TimConfig) -> np.ndarray:
+    """The features a fitted state's classifier sees for the rows of X: the
+    normalized map outputs, or X itself (assumed unit-normalized) while the
+    transform is inactive.
 
     Raises:
         DegenerateVectorError: if a transformed row's norm cubed is below
             the smallest normal float, zero included.
     """
-    if not active:
-        return X, None, None
-    z, raw, norms, failed, reasons = _normalized(X, W, variant)
+    if not transform_active(state.iter, config):
+        return X
+    z, _, _, failed, reasons = _normalized(X, state.W, config.variant)
     if failed is not None:
         raise DegenerateVectorError(reasons[0])
-    return z, raw, norms
+    return z
 
 
 def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.ndarray:
@@ -613,7 +610,5 @@ def predict_features(
 
     Returns (predicted labels, posterior rows)."""
     x = l2_normalize_rows(vectors)
-    z, _, _ = _pipeline(x, state.W, transform_active(state.iter, config),
-                        config.variant)
-    p = posteriors(z, state.prototypes, config.tau)
+    p = posteriors(_pipeline(x, state, config), state.prototypes, config.tau)
     return np.argmax(p, axis=1), p

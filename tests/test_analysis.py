@@ -131,8 +131,6 @@ def test_decomposition_identity_random_sweep():
     for seed in range(200):
         episode, W, theta = make_random_instance(seed)
         assert decomposition_residual(episode, W, theta, tau=15.0) <= 1e-10
-        assert decomposition_residual(episode, W, theta, tau=0.37,
-                                      normalized=True) <= 1e-10
 
 
 def test_decomposition_breakdown_fields():
@@ -272,24 +270,20 @@ def test_j_trace_never_increases_with_small_w_steps():
     assert violations == 0
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_w_step_gradient_matches_central_differences(normalized):
+def test_w_step_gradient_matches_central_differences():
     # one step at lr=1 reads back the gradient of J that the W steps of
     # alternate_kmeans and mm_iteration follow
     rtol, atol, h = 1e-4, 1e-7, 1e-5
     for seed in range(3):
         episode, W, theta = make_random_instance(seed + 400)
-        if normalized:
-            theta = theta / np.linalg.norm(theta, axis=1, keepdims=True)
-        q = kkt_soft_assignments(episode, W, theta, tau=2.0, normalized=normalized)
-        grad = W - _w_steps(episode.query_vectors, W, theta, q.rows, lr=1.0,
-                            steps=1, normalized=normalized)
+        q = kkt_soft_assignments(episode, W, theta, tau=2.0)
+        grad = W - _w_steps(episode.query_vectors, W, theta, q.rows, lr=1.0, steps=1)
         for idx in np.ndindex(W.shape):
             plus, minus = W.copy(), W.copy()
             plus[idx] += h
             minus[idx] -= h
-            fd = (kmeans_objective(episode, plus, theta, q, normalized)
-                  - kmeans_objective(episode, minus, theta, q, normalized)) / (2 * h)
+            fd = (kmeans_objective(episode, plus, theta, q)
+                  - kmeans_objective(episode, minus, theta, q)) / (2 * h)
             assert abs(grad[idx] - fd) <= rtol * max(atol / rtol, abs(grad[idx]), abs(fd))
 
 
@@ -326,36 +320,6 @@ def test_mm_zero_rounds_empty_trace():
 def test_mm_descent_at_small_tau():
     result = bench.mm_property(50, first_seed=300)
     assert result.passed == 50, result.line()
-
-
-def test_mm_hard_frozen_matches_lloyd_trace_exactly():
-    episode, W, _ = make_random_instance(17)
-    raw_s = transformed_query_features(
-        Episode(
-            num_classes=episode.num_classes,
-            dim=episode.dim,
-            support_labels=episode.support_labels,
-            support_vectors=episode.support_vectors,
-            query_vectors=episode.support_vectors,
-            query_hidden_labels=episode.support_labels,
-        ),
-        W,
-    )
-    theta0 = raw_s.copy()
-    rounds = 6
-    mm_trace = mm_iteration(episode, W, theta0, tau=0.001, rounds=rounds,
-                            w_steps_per_round=0, assignment_mode="hard")
-    lloyd = alternate_kmeans(episode, max_rounds=rounds, w_steps_per_round=0,
-                             tol=0.0, init_W=W, init_prototypes=theta0)
-    lloyd_means = [v for phase, v in lloyd.trace if phase == "means"]
-    mm_values = [h for h, _ in mm_trace]
-    assert mm_values == lloyd_means[: len(mm_values)]
-
-
-def test_mm_rejects_unknown_assignment_mode():
-    episode, W, theta = make_random_instance(18)
-    with pytest.raises(ValueError, match="assignment_mode"):
-        mm_iteration(episode, W, theta, tau=0.1, rounds=1, assignment_mode="x")
 
 
 def test_barrier_nonpositive_zero_iff_onehot():

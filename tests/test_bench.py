@@ -17,6 +17,7 @@ from fttim import (
     FeatureBank,
     TimConfig,
     load_feature_bank,
+    sample_episode,
     write_feature_bank,
 )
 from fttim.cli import main
@@ -202,6 +203,57 @@ def test_unusable_bank_is_usage_error(tmp_path, capsys, command, workers, case):
     assert err.splitlines()[-1] == f"fttim {command}: error: {path}: {reason}"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--dim", "4"], "relevant_dims (10) exceeds dim (4)"),
+    (["--class-stddev", "-0.5"], "stddev and separation must be non-negative"),
+], ids=["dim", "stddev"])
+@pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
+def test_synthetic_flags_that_cannot_form_a_task_are_usage_errors(
+        tmp_path, capsys, command, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--synthetic", "--episodes", "2", "--workers", "1",
+              "--out", str(tmp_path / "out"), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"fttim {command}: error: {message}"
+
+
+def _small_bank(path, seed):
+    write_feature_bank(FeatureBank(dim=4, class_ids=np.repeat(np.arange(3), 4),
+                                   vectors=np.random.default_rng(seed).standard_normal((12, 4))),
+                       path)
+
+
+def test_bank_source_reads_a_rewritten_bank_afresh(tmp_path):
+    path = tmp_path / "bank.csv"
+    _small_bank(path, 0)
+    old = bench.BankSource(str(path), 2, 2, 0).episode(5)
+    _small_bank(path, 1)
+    new = bench.BankSource(str(path), 2, 2, 0).episode(5)
+    assert not np.array_equal(old.query_vectors, new.query_vectors)
+    assert np.array_equal(new.query_vectors, sample_episode(load_feature_bank(path),
+                                                            2, 2, 0, 5).query_vectors)
+
+
+def test_campaign_parses_the_bank_once_in_the_parent(tmp_path, monkeypatch):
+    # pool workers are forked, so they count with the patched loader too
+    path, calls = tmp_path / "bank.csv", tmp_path / "calls"
+    _small_bank(path, 0)
+    real = bench.load_feature_bank
+
+    def counted(*args, **kwargs):
+        with open(calls, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "load_feature_bank", counted)
+    report = bench.evaluate(bench.BankSource(str(path), 2, 2, 0),
+                            TimConfig(iterations=4, transform_start=2), 2, 0, workers=2)
+    assert report.failures == 0
+    assert calls.read_text().split() == [str(os.getpid())]
+
+
 def test_config_file_merging_and_flag_priority(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -295,13 +347,9 @@ def test_cli_exit_nonzero_on_failed_episode(tmp_path):
     bank_path = tmp_path / "bank.csv"
     write_feature_bank(FeatureBank(dim=6, class_ids=np.array(ids), vectors=vecs),
                        bank_path)
-    seed = next(
-        s for s in range(50)
-        if np.array_equal(
-            bench.BankSource(str(bank_path), 5, 1, 0).episode(s).support_vectors[0],
-            eye[0],
-        )
-    )
+    source = bench.BankSource(str(bank_path), 5, 1, 0)
+    seed = next(s for s in range(50)
+                if np.array_equal(source.episode(s).support_vectors[0], eye[0]))
     out = tmp_path / "r.json"
     code = main([
         "evaluate", "--features", str(bank_path), "--episodes", "1",
@@ -562,14 +610,11 @@ def test_verify_theory_gap_instances_checked_only_with_a_sweep(capsys):
     assert main(list(_SMALL_THEORY) + ["--gap-instances", "0"]) == 0
 
 
-def test_verify_theory_tamper_canary_fails(capsys):
-    code = main(list(_SMALL_THEORY) + ["--tamper-scale", "1.0"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    # the hook must not leak into later runs
+def test_verify_theory_tamper_canary_fails(capsys, monkeypatch):
     import fttim.analysis as analysis
-    assert analysis._CLUSTERING_SCALE_OVERRIDE is None
+    monkeypatch.setattr(analysis, "_CLUSTERING_SCALE_OVERRIDE", 1.0)
+    assert main(list(_SMALL_THEORY)) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_theory_gap_csv(tmp_path, capsys):

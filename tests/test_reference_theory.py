@@ -299,15 +299,12 @@ def _bits(*arrays):
 
 def _derived(stack):
     """Everything the harness computes from a stack, one entry per kind."""
-    d2 = analysis._d2(stack.query, stack.W, stack.theta, False)
+    d2 = analysis._d2(stack.query, stack.W, stack.theta)
     tight, rise = analysis._sweep_gaps(d2, SWEEP)
-    trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2, 1, 0.005,
-                               False, False)
-    hard = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2, 1, 0.005,
-                              True, False)
+    trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2, 1, 0.005)
     return [stack.support, stack.query, stack.W, stack.theta, d2,
             *analysis._decompose(d2, 15.0), tight, rise,
-            *(v for pair in trace + hard for v in pair)]
+            *(v for pair in trace for v in pair)]
 
 
 @settings(max_examples=40, deadline=None)

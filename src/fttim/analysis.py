@@ -38,12 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _grad_w, _softmax_rows
+from .engine import PROB_FLOOR, _grad_w, _softmax_rows
 from .features import (
     Episode,
     SyntheticTaskSpec,
     _check_spec,
-    _check_unit_rows,
     _synthetic_blocks,
     l2_normalize_rows,
 )
@@ -56,6 +55,12 @@ from .transform import init_transform, norm_induced_map
 _CLUSTERING_SCALE_OVERRIDE: float | None = None
 
 _MONOTONE_SLACK = 1e-9
+
+# The temperatures along which bound gaps are checked and traced, falling.
+TAU_SWEEP = (1.0, 0.1, 0.01, 0.001)
+
+# Learning rate of the transform's gradient steps on J.
+_LR_W = 0.005
 
 
 class InternalConsistencyError(RuntimeError):
@@ -207,7 +212,7 @@ def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
 
 def _xlogx(q: np.ndarray) -> np.ndarray:
     # 0 * log 0 := 0; the floor never changes nonzero entries' logs materially
-    return q * np.log(np.maximum(q, 1e-300))
+    return q * np.log(np.maximum(q, PROB_FLOOR))
 
 
 def clustering_term(
@@ -313,22 +318,21 @@ def bound_check(
     prototypes: np.ndarray,
     tau: float,
     assignments: AssignmentMatrix | np.ndarray,
-    sweep: tuple[float, ...] = (1.0, 0.1, 0.01, 0.001),
 ) -> BoundCheck:
     """Measure the softened-bound value J + (tau/2) sum q log q against the
     clustering term.
 
     Gaps are reported as data, not asserted: the bound is only approximate
     at finite temperature. ``tight_at_kkt`` records whether the gap at the
-    softmax assignments shrinks monotonically in magnitude along the
-    temperature sweep; ``gap_rise`` is the largest step-to-step increase
+    softmax assignments shrinks monotonically in magnitude along
+    :data:`TAU_SWEEP`; ``gap_rise`` is the largest step-to-step increase
     of that magnitude.
     """
     q = _rows(assignments)
     d2 = _d2(episode.query_vectors, W, prototypes)
     H = _j_value(d2, _soft_rows(d2, tau))
     bound = _j_value(d2, q) + barrier_value(q, tau)
-    tight, rise = _sweep_gaps(d2[None], sweep)
+    tight, rise = _sweep_gaps(d2[None], TAU_SWEEP)
     return BoundCheck(H_value=H, bound_value=bound, gap=bound - H,
                       tight_at_kkt=bool(tight[0]), gap_rise=rise[0])
 
@@ -346,25 +350,21 @@ def project_simplex_rows(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - shift[:, None], 0.0)
 
 
-def minimize_soft_assignment_rows(
-    d2: np.ndarray,
-    tau: float,
-    step: float = 0.1,
-    max_iters: int = 50000,
-    tol: float = 1e-15,
-) -> np.ndarray:
-    """Projected-gradient minimizer of the soft assignment objective.
+def minimize_soft_assignment_rows(d2: np.ndarray, tau: float) -> np.ndarray:
+    """Projected-gradient minimizer of the soft assignment objective: steps
+    of 0.1 from uniform rows, at most 50,000 of them, until the objective
+    changes by at most 1e-15 relative.
 
     Numeric oracle, independent of the closed-form softmax solution.
     """
     n, C = d2.shape
     q = np.full((n, C), 1.0 / C)
     prev = np.inf
-    for _ in range(max_iters):
+    for _ in range(50000):
         grad = (tau / 2.0) * d2 + np.log(np.maximum(q, 1e-16)) + 1.0
-        q = project_simplex_rows(q - step * grad)
+        q = project_simplex_rows(q - 0.1 * grad)
         val = soft_assignment_objective(d2, q, tau)
-        if abs(prev - val) <= tol * max(1.0, abs(val)):
+        if abs(prev - val) <= 1e-15 * max(1.0, abs(val)):
             break
         prev = val
     return q
@@ -411,8 +411,7 @@ def alternate_kmeans(
     episode: Episode,
     max_rounds: int = 100,
     w_steps_per_round: int = 1,
-    lr_w: float = 0.005,
-    tol: float = 1e-10,
+    lr_w: float = _LR_W,
     init_W: np.ndarray | None = None,
     init_prototypes: np.ndarray | None = None,
 ) -> KMeansResult:
@@ -424,7 +423,7 @@ def alternate_kmeans(
     transform. The assignment and means steps can never increase the
     objective and that is asserted every round; the transform step is
     descent only for small ``lr_w``. Stops when a full round improves the
-    objective by less than ``tol``.
+    objective by less than 1e-10.
 
     With ``w_steps_per_round=0`` (or ``lr_w=0``) this is plain Lloyd
     iteration on the transformed features.
@@ -463,7 +462,7 @@ def alternate_kmeans(
             F = transformed_query_features(episode, W)
             j_end = _j_value(squared_distances(F, theta), q)
             trace.append(("w_step", j_end))
-        if j_round_end is not None and j_round_end - j_end < tol:
+        if j_round_end is not None and j_round_end - j_end < 1e-10:
             j_round_end = j_end
             break
         j_round_end = j_end
@@ -481,24 +480,20 @@ def mm_iteration(
     init_prototypes: np.ndarray,
     tau: float,
     rounds: int,
-    w_steps_per_round: int = 1,
-    lr_w: float = 0.005,
 ) -> list[tuple[float, float]]:
     """Majorize-minimize rounds on the clustering term.
 
     Each round fixes the distance-softmax assignments, then minimizes the
     softened objective over prototypes (weighted means) and the transform
-    (gradient steps). Returns one (H_value, bound_value) pair per round,
-    evaluated after the round's updates.
+    (one gradient step at 0.005). Returns one (H_value, bound_value) pair
+    per round, evaluated after the round's updates.
     """
     return _mm_trace(episode.query_vectors, np.asarray(init_W, dtype=np.float64),
-                     np.asarray(init_prototypes, dtype=np.float64), tau, rounds,
-                     w_steps_per_round, lr_w)
+                     np.asarray(init_prototypes, dtype=np.float64), tau, rounds)
 
 
 def _mm_trace(
     X: np.ndarray, W: np.ndarray, theta: np.ndarray, tau: float, rounds: int,
-    w_steps_per_round: int, lr_w: float,
 ) -> list[tuple]:
     """The rounds of :func:`mm_iteration` from queries X, a transform W and
     prototypes theta, for one instance (float pairs) or a stack of them
@@ -509,10 +504,8 @@ def _mm_trace(
         d2 = squared_distances(F, theta)
         q = _soft_rows(d2, tau)
         theta = _means_update(F, q, theta)
-        if w_steps_per_round > 0 and lr_w > 0:
-            W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round)
-            F = norm_induced_map(X, W)
-        d2 = squared_distances(F, theta)
+        W = _w_steps(X, W, theta, q, _LR_W, 1)
+        d2 = _d2(X, W, theta)
         h_now = _j_value(d2, _soft_rows(d2, tau))
         bound = _j_value(d2, q) + barrier_value(q, tau)
         trace.append((h_now, bound))
@@ -588,8 +581,6 @@ def make_random_instances(
         noise[b] = rng.standard_normal((C, dim))
     support = l2_normalize_rows(blocks[:, :, 0])
     query = l2_normalize_rows(blocks[:, :, 1:].reshape(B, n, dim))
-    _check_unit_rows("support", support)
-    _check_unit_rows("query", query)
     W = init_transform(support) + (0.1 / np.sqrt(dim)) * jitter
     F = norm_induced_map(query, W)
     theta = np.take_along_axis(F, picks[..., None], axis=1) + 0.05 * noise

@@ -40,6 +40,7 @@ from .features import (
     load_feature_bank,
     sample_episode,
     SyntheticTaskSpec,
+    _check_heldout,
     _check_spec,
     generate_synthetic_episode,
     write_feature_bank,
@@ -89,6 +90,7 @@ class BankSource:
     heldout_per_class: int = 0
 
     def __post_init__(self) -> None:
+        _check_heldout(self.heldout_per_class)
         # not a field, so echo() and equality see only the parameters
         object.__setattr__(self, "bank", load_feature_bank(self.path))
 
@@ -404,9 +406,8 @@ def compare(
     episodes: int,
     base_seed: int,
     workers: int = 1,
-    variants: tuple[str, ...] = VARIANTS,
 ) -> CompareReport:
-    """Evaluate several variants on identical episodes (shared seeds) and
+    """Evaluate every variant on identical episodes (shared seeds) and
     report per-variant means plus paired differences against ft_tim.
 
     The variants run in one campaign that solves their shared first
@@ -415,23 +416,18 @@ def compare(
     its solve time with the shared iterations split evenly, so the shares
     sum to the campaign wall time."""
     start = time.perf_counter()
-    outcomes, seconds = _run_campaign(source, config, tuple(variants), episodes,
+    outcomes, seconds = _run_campaign(source, config, VARIANTS, episodes,
                                       base_seed, workers)
     wall = time.perf_counter() - start
     total = sum(seconds.values())
     reports: dict[str, EvalReport] = {}
-    for variant in variants:
-        share = seconds[variant] / total if total > 0 else 1.0 / len(variants)
+    for variant in VARIANTS:
+        share = seconds[variant] / total if total > 0 else 1.0 / len(VARIANTS)
         reports[variant] = _eval_report(
             source, dataclasses.replace(config, variant=variant), episodes,
             base_seed, outcomes[variant], wall * share)
-    paired = []
-    if "ft_tim" in reports:
-        for other in variants:
-            if other == "ft_tim":
-                continue
-            paired.append(_paired_stats("ft_tim", reports["ft_tim"],
-                                        other, reports[other]))
+    paired = [_paired_stats("ft_tim", reports["ft_tim"], other, reports[other])
+              for other in VARIANTS if other != "ft_tim"]
     return CompareReport(episodes=episodes, reports=reports, paired=paired)
 
 
@@ -574,7 +570,7 @@ def mm_property(instances: int, first_seed: int) -> PropertyResult:
     def check(stack):
         d2 = _query_d2(stack)
         h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
-        trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5, 1, 0.005)
+        trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5)
         series = np.array([h0] + [h for h, _ in trace])
         ok = np.all(series[1:] <= series[:-1] + 1e-6, axis=0)
         return analysis._largest_rises(series), ok
@@ -589,7 +585,7 @@ def sweep_property(instances: int, first_seed: int) -> PropertyResult:
     def check(stack):
         d2 = _query_d2(stack)
         analysis._check_simplex(analysis._soft_rows(d2, 1.0))
-        tight, rise = analysis._sweep_gaps(d2, (1.0, 0.1, 0.01, 0.001))
+        tight, rise = analysis._sweep_gaps(d2, analysis.TAU_SWEEP)
         return rise, tight
     return _tally("gap at closed-form assignments shrinks across tau sweep (>= 95%)",
                   check, instances, first_seed, 0.95, "largest gap rise {:+.2e}")
@@ -630,7 +626,7 @@ def run_theory_suite(
 def write_gap_trace(
     path: str | Path,
     instances: int = 100,
-    taus: tuple[float, ...] = (1.0, 0.1, 0.01, 0.001),
+    taus: tuple[float, ...] = analysis.TAU_SWEEP,
     base_seed: int = 0,
 ) -> None:
     """Emit the per-instance, per-temperature gap table as CSV."""

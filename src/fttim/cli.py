@@ -28,19 +28,23 @@ _THEORY_COUNTS = {name: p.default for name, p in
                   if name.endswith("_instances")}
 
 
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
+def _add_source_flags(p: argparse.ArgumentParser, campaign: bool) -> None:
+    """The episode source flags, with ``campaign`` also the episode count
+    and the worker pool, which a one-episode command has no use for."""
     p.add_argument("--features", metavar="PATH", help="feature bank file to sample from")
     p.add_argument("--synthetic", action="store_true",
                    help="sample tasks from the synthetic generator")
-    p.add_argument("--episodes", type=int, default=600)
+    if campaign:
+        p.add_argument("--episodes", type=int, default=600)
     p.add_argument("--ways", type=int, default=5, help="classes per task")
     p.add_argument("--queries", type=int, default=15, help="queries per class")
     p.add_argument("--heldout", type=int, default=0,
                    help="held-out samples per class (semi-supervised protocol)")
     p.add_argument("--seed", type=int, default=None,
                    help="base episode seed (fallback: FTTIM_SEED, then 0)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="episode worker processes (default: available parallelism)")
+    if campaign:
+        p.add_argument("--workers", type=int, default=None,
+                       help="episode worker processes (default: available parallelism)")
     p.add_argument("--out", metavar="PATH", help="output path")
     p.add_argument("--config", metavar="FILE",
                    help="flat key=value config file; flags override it")
@@ -112,38 +116,26 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _with_bank(parser: argparse.ArgumentParser, path: str | None, run):
-    """``run()``, with a feature bank that cannot be read, parsed or sampled
-    from reported as a usage error: one line that names the file, and the
-    line for a format error. A pool worker's error is raised here too."""
-    try:
-        return run()
-    except FeatureFormatError as exc:  # names the file and line itself
-        parser.error(str(exc))
-    except OSError as exc:
-        parser.error(f"{exc.filename}: {exc.strerror}")
-    except TooFewClassesError as exc:
-        parser.error(f"{path}: {exc}")
-
-
-def _validate_campaign(args, parser: argparse.ArgumentParser) -> None:
-    if bool(args.features) == bool(args.synthetic):
-        parser.error("exactly one of --features or --synthetic is required")
-    if args.episodes <= 0:
-        parser.error("--episodes must be a positive integer")
-    if args.ways < 2:
-        parser.error("--ways must be at least 2")
-    if args.queries < 1:
-        parser.error("--queries must be at least 1")
-    if args.heldout < 0:
-        parser.error("--heldout must be non-negative")
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be at least 1")
+# each source flag's lower bound, and how its message puts it
+_LOWER_BOUNDS = {
+    "episodes": (1, "a positive integer"),
+    "ways": (2, "at least 2"),
+    "queries": (1, "at least 1"),
+    "heldout": (0, "non-negative"),
+    "workers": (1, "at least 1"),
+}
 
 
 def _source(args, parser: argparse.ArgumentParser):
-    """The campaign's episode source. Synthetic flags that cannot form a task
-    are a usage error; a bank's load errors are left to :func:`_with_bank`."""
+    """The command's episode source, after checking the source flags.
+    Synthetic flags that cannot form a task are a usage error; a bank's load
+    errors are left to :func:`main`."""
+    if bool(args.features) == bool(args.synthetic):
+        parser.error("exactly one of --features or --synthetic is required")
+    for name, (low, bound) in _LOWER_BOUNDS.items():
+        value = getattr(args, name, None)  # export-embeddings has no campaign flags
+        if value is not None and value < low:
+            parser.error(f"--{name} must be {bound}")
     shape = dict(num_classes=args.ways, queries_per_class=args.queries,
                  heldout_per_class=args.heldout)
     if not args.synthetic:
@@ -160,8 +152,8 @@ def _source(args, parser: argparse.ArgumentParser):
         parser.error(str(exc))
 
 
-def _tim_config(args, variant: str, parser: argparse.ArgumentParser) -> TimConfig:
-    overrides = {"variant": variant}
+def _tim_config(args, parser: argparse.ArgumentParser) -> TimConfig:
+    overrides = {"variant": args.variant}
     for f in _TIM_FIELDS:
         value = getattr(args, f"tim_{f.name}")
         if value is not None:
@@ -172,39 +164,31 @@ def _tim_config(args, variant: str, parser: argparse.ArgumentParser) -> TimConfi
         parser.error(str(exc))
 
 
-def _cmd_evaluate(args, parser, argv) -> int:
-    _merge_config_file(args, parser, argv)
-    _validate_campaign(args, parser)
-    seed = _resolve_seed(args, parser)
-    config = _tim_config(args, args.variant, parser)
-    workers = args.workers or bench.default_workers()
-    report = _with_bank(parser, args.features, lambda: bench.evaluate(
-        _source(args, parser), config, args.episodes, seed, workers))
-    print(report.table())
-    print(f"wall_time_s: {report.wall_time_s:.2f}")
-    out = args.out or "eval_report.json"
+def _write_report(report, out: str) -> None:
     bench.write_json(report.to_json_dict(), out)
     print(f"report written to {out}")
+
+
+def _cmd_evaluate(args, parser) -> int:
+    config = _tim_config(args, parser)
+    report = bench.evaluate(_source(args, parser), config, args.episodes, args.seed,
+                            args.workers or bench.default_workers())
+    print(report.table())
+    print(f"wall_time_s: {report.wall_time_s:.2f}")
+    _write_report(report, args.out or "eval_report.json")
     return 1 if report.failures else 0
 
 
-def _cmd_compare(args, parser, argv) -> int:
-    _merge_config_file(args, parser, argv)
-    _validate_campaign(args, parser)
-    seed = _resolve_seed(args, parser)
-    config = _tim_config(args, "ft_tim", parser)
-    workers = args.workers or bench.default_workers()
-    report = _with_bank(parser, args.features, lambda: bench.compare(
-        _source(args, parser), config, args.episodes, seed, workers))
+def _cmd_compare(args, parser) -> int:
+    config = _tim_config(args, parser)
+    report = bench.compare(_source(args, parser), config, args.episodes, args.seed,
+                           args.workers or bench.default_workers())
     print(report.table())
-    out = args.out or "compare_report.json"
-    bench.write_json(report.to_json_dict(), out)
-    print(f"report written to {out}")
+    _write_report(report, args.out or "compare_report.json")
     return 1 if any(r.failures for r in report.reports.values()) else 0
 
 
-def _cmd_verify_theory(args, parser, argv) -> int:
-    _merge_config_file(args, parser, argv)
+def _cmd_verify_theory(args, parser) -> int:
     counts = {name: getattr(args, name) for name in _THEORY_COUNTS}
     for name, count in counts.items():
         if count < 1:
@@ -218,28 +202,22 @@ def _cmd_verify_theory(args, parser, argv) -> int:
             parser.error("--tau-sweep must be a comma-separated list of finite floats > 0")
         if args.gap_instances < 1:
             parser.error("--gap-instances must be at least 1")
-    seed = _resolve_seed(args, parser)
-    results = bench.run_theory_suite(**counts, base_seed=seed)
+    results = bench.run_theory_suite(**counts, base_seed=args.seed)
     for r in results:
         print(r.line())
     if args.tau_sweep:
         out = args.out or "gap_trace.csv"
         bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
-                              base_seed=seed)
+                              base_seed=args.seed)
         print(f"gap trace written to {out}")
     return 0 if all(r.ok for r in results) else 1
 
 
-def _cmd_export(args, parser, argv) -> int:
-    _merge_config_file(args, parser, argv)
-    args.episodes = 1
-    _validate_campaign(args, parser)
+def _cmd_export(args, parser) -> int:
     if not args.out:
         parser.error("--out directory is required for export-embeddings")
-    seed = _resolve_seed(args, parser)
-    config = _tim_config(args, args.variant, parser)
-    result = _with_bank(parser, args.features, lambda: bench.export_embeddings(
-        _source(args, parser), config, seed, args.out))
+    config = _tim_config(args, parser)
+    result = bench.export_embeddings(_source(args, parser), config, args.seed, args.out)
     for name, path in result.paths.items():
         print(f"{name}: {path}")
     print(f"class separation before transform: {result.separation_before:.4f}")
@@ -261,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     # their full spelling, so an abbreviation would lose to the config file
     p_eval = sub.add_parser("evaluate", allow_abbrev=False,
                             help="run an episodic campaign")
-    _add_source_flags(p_eval)
+    _add_source_flags(p_eval, campaign=True)
     _add_tim_flags(p_eval)
     p_eval.add_argument("--variant", choices=VARIANTS, default="ft_tim")
     p_eval.set_defaults(func=_cmd_evaluate, parser=p_eval)
 
     p_cmp = sub.add_parser("compare", allow_abbrev=False,
                            help="paired comparison across all variants")
-    _add_source_flags(p_cmp)
+    _add_source_flags(p_cmp, campaign=True)
     _add_tim_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare, parser=p_cmp)
+    p_cmp.set_defaults(func=_cmd_compare, parser=p_cmp, variant="ft_tim")
 
     p_ver = sub.add_parser("verify-theory", allow_abbrev=False,
                            help="numeric verification of the clustering-side theory")
@@ -286,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-embeddings", allow_abbrev=False,
                            help="fit one episode and dump feature tables")
-    _add_source_flags(p_exp)
+    _add_source_flags(p_exp, campaign=False)
     _add_tim_flags(p_exp)
     p_exp.add_argument("--variant", choices=VARIANTS, default="ft_tim")
     p_exp.set_defaults(func=_cmd_export, parser=p_exp)
@@ -295,7 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, after merging its config file and resolving its
+    seed. A file it cannot read, parse, sample from or write, a pool
+    worker's included, is a usage error: one line that names the file."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, args.parser, argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser
+    _merge_config_file(args, parser, argv)
+    args.seed = _resolve_seed(args, parser)
+    try:
+        return args.func(args, parser)
+    except FeatureFormatError as exc:  # names the file and line itself
+        parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"{exc.filename}: {exc.strerror}")
+    except TooFewClassesError as exc:
+        parser.error(f"{args.features}: {exc}")

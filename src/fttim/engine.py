@@ -426,8 +426,10 @@ class Batch:
                     if bad is not None:
                         self._drop(bad, "non-finite transform gradient")
                         grad_theta, grad_W = grad_theta[~bad], grad_W[~bad]
-                    _update(self.W, grad_W, cfg.lr_w, self.adam_w)
-                _update(self.theta, grad_theta, cfg.lr_theta, self.adam_theta)
+                    # W updates from transform_start on, the prototypes from 0
+                    _update(self.W, grad_W, cfg.lr_w, self.adam_w,
+                            self.it + 1 - cfg.transform_start)
+                _update(self.theta, grad_theta, cfg.lr_theta, self.adam_theta, self.it + 1)
                 self.it += 1
 
     def finish(self) -> list[RunResult | EpisodeFailure]:
@@ -531,15 +533,14 @@ def tim_gradients(
 
 
 class _Adam:
-    """Standard adaptive-moment updater, updating one array in place. The
-    steps repeat the operations of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
-    lr m_hat / (sqrt(v_hat) + eps) in order, so results match bit for bit."""
+    """Standard adaptive-moment updater (b1 = 0.9, b2 = 0.999, eps = 1e-8),
+    updating one array in place. The steps repeat the operations of
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, lr m_hat / (sqrt(v_hat) + eps)
+    in order, so results match bit for bit."""
 
-    def __init__(self, shape, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape):
         self.m, self.v = np.zeros(shape), np.zeros(shape)
         self.s1, self.s2 = np.empty(shape), np.empty(shape)  # scratch
-        self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep the moments of the stacked episodes that ``mask`` selects."""
@@ -551,27 +552,28 @@ class _Adam:
         twin.m, twin.v = self.m.copy(), self.v.copy()
         return twin
 
-    def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        self.t += 1
+    def step(self, param: np.ndarray, grad: np.ndarray, lr: float, t: int) -> None:
+        """The ``t``-th update of ``param``, counting from 1."""
         m, v, s1, s2 = self.m, self.v, self.s1, self.s2
-        m *= self.beta1
-        m += np.multiply(1 - self.beta1, grad, out=s1)
-        v *= self.beta2
-        np.multiply(1 - self.beta2, grad, out=s1)
+        m *= 0.9
+        m += np.multiply(1 - 0.9, grad, out=s1)
+        v *= 0.999
+        np.multiply(1 - 0.999, grad, out=s1)
         s1 *= grad
         v += s1
-        np.divide(m, 1 - self.beta1**self.t, out=s1)
+        np.divide(m, 1 - 0.9**t, out=s1)
         s1 *= lr
-        np.divide(v, 1 - self.beta2**self.t, out=s2)
+        np.divide(v, 1 - 0.999**t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += 1e-8
         s1 /= s2
         param -= s1
 
 
-def _update(param: np.ndarray, grad: np.ndarray, lr: float, adam: _Adam | None) -> None:
+def _update(param: np.ndarray, grad: np.ndarray, lr: float, adam: _Adam | None,
+            t: int) -> None:
     if adam is not None:
-        adam.step(param, grad, lr)
+        adam.step(param, grad, lr, t)
     else:
         grad *= lr
         param -= grad

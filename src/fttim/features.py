@@ -42,15 +42,21 @@ class TooFewClassesError(ValueError):
 
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of a 2-D array, or of a stack of them
-    along leading axes."""
+    along leading axes. A row that does not come out within UNIT_NORM_TOL
+    of unit norm, being zero or with a squared norm that overflows or
+    underflows, raises a DegenerateVectorError that names it."""
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix has non-finite entries")
-    norms = np.linalg.norm(X, axis=-1)
-    zero = norms == 0.0
-    if zero.any():
-        raise DegenerateVectorError(f"row {int(np.argwhere(zero)[0, -1])} has zero norm")
-    return X / norms[..., None]
+    with np.errstate(all="ignore"):  # such rows are caught below
+        unit = X / np.linalg.norm(X, axis=-1)[..., None]
+        bad = ~(np.abs(np.linalg.norm(unit, axis=-1) - 1.0) <= UNIT_NORM_TOL)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        why = ("has zero norm" if not X[first].any()
+               else "has a norm that overflows or underflows float64")
+        raise DegenerateVectorError(f"row {first[-1]} {why}")
+    return unit
 
 
 def _check_unit_rows(name: str, arr: np.ndarray) -> None:
@@ -332,6 +338,11 @@ def _synthetic_means(spec: SyntheticTaskSpec) -> np.ndarray:
     return means
 
 
+def _check_heldout(heldout_per_class: int) -> None:
+    if heldout_per_class < 0:
+        raise ValueError("heldout_per_class must be non-negative")
+
+
 def _check_spec(spec: SyntheticTaskSpec) -> None:
     if spec.relevant_dims < 1:
         raise ValueError("relevant_dims must be >= 1")
@@ -343,6 +354,7 @@ def _check_spec(spec: SyntheticTaskSpec) -> None:
         raise ValueError("num_classes must be >= 2")
     if spec.queries_per_class < 1:
         raise ValueError("queries_per_class must be >= 1")
+    _check_heldout(spec.heldout_per_class)
     if spec.intra_class_stddev < 0 or spec.inter_class_separation < 0:
         raise ValueError("stddev and separation must be non-negative")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-NORMALIZED_INPUT_TOL = 1e-6
+from .features import _check_unit_rows
 
 
 def norm_induced_map(
@@ -52,7 +52,5 @@ def init_transform(support_features: np.ndarray) -> np.ndarray:
     S = np.asarray(support_features, dtype=np.float64)
     if S.ndim < 2:
         raise ValueError("support features must be a 2-D array or a stack of them")
-    norms = np.linalg.norm(S, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > NORMALIZED_INPUT_TOL:
-        raise ValueError("support features must be unit-normalized")
+    _check_unit_rows("support", S)
     return S.swapaxes(-1, -2) @ S

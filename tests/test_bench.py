@@ -20,7 +20,7 @@ from fttim import (
     sample_episode,
     write_feature_bank,
 )
-from fttim.cli import main
+from fttim.cli import build_parser, main
 
 
 def _fast_args(episodes=12, extra=()):
@@ -194,9 +194,9 @@ def _unusable_bank(tmp_path, case):
 @pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
 def test_unusable_bank_is_usage_error(tmp_path, capsys, command, workers, case):
     path, reason = _unusable_bank(tmp_path, case)
+    campaign = [] if command == "export-embeddings" else ["--episodes", "4", "--workers", workers]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--features", str(path), "--episodes", "4",
-              "--workers", workers, "--out", str(tmp_path / "out")])
+        main([command, "--features", str(path), *campaign, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -210,13 +210,118 @@ def test_unusable_bank_is_usage_error(tmp_path, capsys, command, workers, case):
 @pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
 def test_synthetic_flags_that_cannot_form_a_task_are_usage_errors(
         tmp_path, capsys, command, flags, message):
+    campaign = [] if command == "export-embeddings" else ["--episodes", "2", "--workers", "1"]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--synthetic", "--episodes", "2", "--workers", "1",
-              "--out", str(tmp_path / "out"), *flags])
+        main([command, "--synthetic", *campaign, "--out", str(tmp_path / "out"), *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"fttim {command}: error: {message}"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "verify-theory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out"
+    if command == "verify-theory":
+        args = [*_SMALL_THEORY, "--tau-sweep", "1,0.1", "--gap-instances", "2"]
+    else:
+        args = [command, "--synthetic", "--episodes", "1", "--queries", "2", "--dim", "8",
+                "--relevant-dims", "3", "--tim-iterations", "4", "--tim-transform-start", "2",
+                "--workers", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"fttim {command}: error: {out}: No such file or directory"
+
+
+@pytest.mark.parametrize("flags", [["--episodes", "3"], ["--workers", "2"],
+                                   ["--config", "run.cfg"]], ids=["episodes", "workers", "config"])
+def test_export_takes_no_campaign_flags(tmp_path, monkeypatch, capsys, flags):
+    # export-embeddings solves one episode in-process
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("episodes=3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["export-embeddings", "--synthetic", "--out", "dump", *flags])
+    assert exc.value.code == 2
+    assert not Path("dump").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-160])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bank_row_whose_norm_overflows_or_underflows_is_flagged(tmp_path, capsys,
+                                                                workers, scale):
+    # six classes of ten records; ways=5 with nine queries uses every record
+    # of a chosen class, so the episodes that pick class 0 meet its scaled row
+    vecs = np.random.default_rng(0).standard_normal((60, 8))
+    vecs[3] *= scale
+    bank_path = tmp_path / "bank.csv"
+    write_feature_bank(FeatureBank(dim=8, class_ids=np.repeat(np.arange(6), 10),
+                                   vectors=vecs), bank_path)
+    out = tmp_path / "r.json"
+    code = main([
+        "evaluate", "--features", str(bank_path), "--episodes", "4", "--queries", "9",
+        "--tim-iterations", "10", "--tim-transform-start", "3",
+        "--seed", "0", "--workers", workers, "--out", str(out),
+    ])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    per_episode = json.loads(out.read_text())["per_episode"]
+    assert any(e["failure_flag"] for e in per_episode)
+    outcomes = bench.run_episodes(bench.BankSource(str(bank_path), 5, 9, 0),
+                                  TimConfig(iterations=10, transform_start=3),
+                                  episodes=4, base_seed=0)
+    for outcome, entry in zip(outcomes, per_episode):
+        assert outcome.failure_flag == entry["failure_flag"]
+        if outcome.failure_flag:
+            assert entry["iterations_run"] == 0
+            assert re.fullmatch(r"episode input: row \d+ has a norm that overflows "
+                                r"or underflows float64", outcome.error)
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: bench.SyntheticSource(heldout_per_class=-2),
+    lambda path: bench.BankSource(str(path), 5, 3, -2),
+], ids=["synthetic", "bank"])
+def test_sources_reject_a_negative_heldout_count(tmp_path, make):
+    path = tmp_path / "bank.csv"
+    write_feature_bank(FeatureBank(dim=4, class_ids=np.repeat(np.arange(5), 8),
+                                   vectors=np.random.default_rng(0).standard_normal((40, 4))),
+                       path)
+    with pytest.raises(ValueError, match="heldout_per_class"):
+        make(path)
+
+
+# the flags after --seed/--workers that evaluate, compare and export-embeddings share
+_SHARED_TAIL = [
+    "--out", "--config", "--dim", "--relevant-dims", "--class-separation", "--class-stddev",
+    "--tim-tau", "--tim-lambda-ce", "--tim-alpha-cond", "--tim-iterations",
+    "--tim-transform-start", "--tim-lr-theta", "--tim-lr-w", "--tim-update-rule",
+]
+
+
+def test_cli_surface_is_pinned():
+    # each flag here changes what a run does; a new one must be added on purpose
+    expected = {
+        "evaluate": ["-h", "--help", "--features", "--synthetic", "--episodes", "--ways",
+                     "--queries", "--heldout", "--seed", "--workers", *_SHARED_TAIL,
+                     "--variant"],
+        "compare": ["-h", "--help", "--features", "--synthetic", "--episodes", "--ways",
+                    "--queries", "--heldout", "--seed", "--workers", *_SHARED_TAIL],
+        "verify-theory": ["-h", "--help", "--decomposition-instances", "--kkt-instances",
+                          "--lloyd-instances", "--mm-instances", "--sweep-instances",
+                          "--gap-instances", "--tau-sweep", "--seed", "--out", "--config"],
+        "export-embeddings": ["-h", "--help", "--features", "--synthetic", "--ways",
+                              "--queries", "--heldout", "--seed", *_SHARED_TAIL,
+                              "--variant"],
+    }
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    surface = {name: [opt for action in sub._actions for opt in action.option_strings]
+               for name, sub in subparsers.choices.items()}
+    assert surface == expected
 
 
 def _small_bank(path, seed):
@@ -644,7 +749,7 @@ def test_export_embeddings_round_trip(tmp_path, capsys):
     code = main([
         "export-embeddings", "--synthetic", "--queries", "8",
         "--tim-iterations", "400", "--tim-transform-start", "100",
-        "--seed", "3", "--out", str(out_dir), "--workers", "1",
+        "--seed", "3", "--out", str(out_dir),
     ])
     assert code == 0
     raw = load_feature_bank(out_dir / "raw_features.csv")

@@ -301,7 +301,7 @@ def _derived(stack):
     """Everything the harness computes from a stack, one entry per kind."""
     d2 = analysis._d2(stack.query, stack.W, stack.theta)
     tight, rise = analysis._sweep_gaps(d2, SWEEP)
-    trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2, 1, 0.005)
+    trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2)
     return [stack.support, stack.query, stack.W, stack.theta, d2,
             *analysis._decompose(d2, 15.0), tight, rise,
             *(v for pair in trace for v in pair)]

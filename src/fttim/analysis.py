@@ -339,15 +339,15 @@ def bound_check(
 
 def project_simplex_rows(V: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row onto the probability simplex
-    (sort-based algorithm)."""
+    (sort-based algorithm), for one (n, C) array or stacks of them along
+    leading axes."""
     V = np.asarray(V, dtype=np.float64)
-    n, C = V.shape
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    ind = np.arange(1, C + 1)
-    rho = np.count_nonzero(U - css / ind > 0, axis=1)
-    shift = css[np.arange(n), rho - 1] / rho
-    return np.maximum(V - shift[:, None], 0.0)
+    U = np.sort(V, axis=-1)[..., ::-1]
+    css = np.cumsum(U, axis=-1) - 1.0
+    rho = np.count_nonzero(U - css / np.arange(1, V.shape[-1] + 1) > 0, axis=-1)
+    rows = css.reshape(-1, css.shape[-1])
+    shift = rows[np.arange(len(rows)), rho.reshape(-1) - 1].reshape(rho.shape) / rho
+    return np.maximum(V - shift[..., None], 0.0)
 
 
 def minimize_soft_assignment_rows(d2: np.ndarray, tau: float) -> np.ndarray:
@@ -355,19 +355,29 @@ def minimize_soft_assignment_rows(d2: np.ndarray, tau: float) -> np.ndarray:
     of 0.1 from uniform rows, at most 50,000 of them, until the objective
     changes by at most 1e-15 relative.
 
-    Numeric oracle, independent of the closed-form softmax solution.
+    Takes one instance's (n, C) distances or stacks of them along leading
+    axes; each instance stops on its own, so its rows are the same, bit
+    for bit, in a stack of any size. Numeric oracle, independent of the
+    closed-form softmax solution.
     """
-    n, C = d2.shape
-    q = np.full((n, C), 1.0 / C)
-    prev = np.inf
+    d2 = np.asarray(d2, dtype=np.float64)
+    d = d2.reshape((-1,) + d2.shape[-2:])
+    out = np.full(d.shape, 1.0 / d.shape[-1])
+    live, q, prev = np.arange(len(d)), out, np.full(len(d), np.inf)
     for _ in range(50000):
-        grad = (tau / 2.0) * d2 + np.log(np.maximum(q, 1e-16)) + 1.0
-        q = project_simplex_rows(q - 0.1 * grad)
-        val = soft_assignment_objective(d2, q, tau)
-        if abs(prev - val) <= 1e-15 * max(1.0, abs(val)):
+        if not live.size:
             break
+        grad = (tau / 2.0) * d + np.log(np.maximum(q, 1e-16)) + 1.0
+        q = project_simplex_rows(q - 0.1 * grad)
+        val = soft_assignment_objective(d, q, tau)
+        # fmax(1, x) is Python's max(1.0, x), NaN included
+        done = np.abs(prev - val) <= 1e-15 * np.fmax(1.0, np.abs(val))
+        if done.any():
+            out[live[done]] = q[done]
+            live, q, d, val = live[~done], q[~done], d[~done], val[~done]
         prev = val
-    return q
+    out[live] = q
+    return out.reshape(d2.shape)
 
 
 def _hard_assign_rows(d2: np.ndarray) -> np.ndarray:
@@ -400,10 +410,14 @@ def _w_steps(
     return W
 
 
-def _assert_nonincreasing(before: float, after: float, what: str) -> None:
-    if after > before + _MONOTONE_SLACK * max(1.0, abs(before)):
+def _assert_nonincreasing(before: np.ndarray, after: np.ndarray, what: str) -> None:
+    """Raises for the first stacked instance whose objective rose from
+    ``before`` to ``after`` by more than the slack."""
+    rose = after > before + _MONOTONE_SLACK * np.fmax(1.0, np.abs(before))
+    if rose.any():
+        b = int(np.argmax(rose))
         raise InternalConsistencyError(
-            f"{what} increased the K-means objective: {before!r} -> {after!r}"
+            f"{what} increased the K-means objective: {before[b].item()!r} -> {after[b].item()!r}"
         )
 
 
@@ -426,52 +440,61 @@ def alternate_kmeans(
     objective by less than 1e-10.
 
     With ``w_steps_per_round=0`` (or ``lr_w=0``) this is plain Lloyd
-    iteration on the transformed features.
+    iteration on the transformed features. This is the stacked loop of
+    :func:`_alternate` on a stack of one.
     """
-    X = episode.query_vectors
-    W = (
-        init_transform(episode.support_vectors)
-        if init_W is None
-        else np.asarray(init_W, dtype=np.float64).copy()
-    )
-    if init_prototypes is None:
-        theta = norm_induced_map(episode.support_vectors, W)
-    else:
-        theta = np.asarray(init_prototypes, dtype=np.float64).copy()
+    W = (init_transform(episode.support_vectors) if init_W is None
+         else np.asarray(init_W, dtype=np.float64))
+    theta = (norm_induced_map(episode.support_vectors, W) if init_prototypes is None
+             else np.asarray(init_prototypes, dtype=np.float64))
+    W, theta, q, traces = _alternate(episode.query_vectors[None], W[None], theta[None],
+                                     max_rounds, w_steps_per_round, lr_w)
+    return KMeansResult(W[0], theta[0], AssignmentMatrix(q[0], hard=True), traces[0])
 
-    trace: list[tuple[str, float]] = []
-    q = None
-    j_round_end = None
-    for _ in range(max_rounds):
-        F = transformed_query_features(episode, W)
+
+def _alternate(
+    X: np.ndarray, W: np.ndarray, theta: np.ndarray, max_rounds: int,
+    w_steps_per_round: int, lr_w: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[tuple[str, float]]]]:
+    """The rounds of :func:`alternate_kmeans` on a stack of instances:
+    queries X (B, n, d), transforms W (B, d, d) and prototypes theta
+    (B, C, d), which are not changed. Each instance stops on its own, so
+    its final W, prototypes and hard rows (B, n, C), and its trace, are the
+    same, bit for bit, in a stack of any size."""
+    W_out, theta_out = W.copy(), theta.copy()
+    q_out = np.zeros(X.shape[:2] + theta.shape[1:2])
+    traces: list[list[tuple[str, float]]] = [[] for _ in range(len(X))]
+    w_step = w_steps_per_round > 0 and lr_w > 0
+    names = ("assign", "means", "w_step")[:3 if w_step else 2]
+    live, q, j_round_end = np.arange(len(X)), None, None
+    for r in range(max_rounds):
+        if not live.size:
+            break
+        F = norm_induced_map(X, W)
         d2 = squared_distances(F, theta)
-        if q is not None:
-            j_before = _j_value(d2, q)
-        q = _hard_assign_rows(d2)
+        q_before, q = q, _hard_assign_rows(d2)
         j_assign = _j_value(d2, q)
-        if trace:
-            _assert_nonincreasing(j_before, j_assign, "assignment step")
-        trace.append(("assign", j_assign))
+        if r:
+            _assert_nonincreasing(_j_value(d2, q_before), j_assign, "assignment step")
         theta = _means_update(F, q, theta)
         j_means = _j_value(squared_distances(F, theta), q)
         _assert_nonincreasing(j_assign, j_means, "means step")
-        trace.append(("means", j_means))
-        j_end = j_means
-        if w_steps_per_round > 0 and lr_w > 0:
+        values = [j_assign, j_means]
+        if w_step:
             W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round)
-            F = transformed_query_features(episode, W)
-            j_end = _j_value(squared_distances(F, theta), q)
-            trace.append(("w_step", j_end))
-        if j_round_end is not None and j_round_end - j_end < 1e-10:
-            j_round_end = j_end
-            break
+            values.append(_j_value(_d2(X, W, theta), q))
+        j_end = values[-1]
+        for b, row in zip(live.tolist(), zip(*(v.tolist() for v in values))):
+            traces[b].extend(zip(names, row))
+        done = np.full(live.size, r + 1 == max_rounds)
+        if r:
+            done |= j_round_end - j_end < 1e-10
+        if done.any():
+            stopped = live[done]
+            W_out[stopped], theta_out[stopped], q_out[stopped] = W[done], theta[done], q[done]
+            live, X, W, theta, q, j_end = (a[~done] for a in (live, X, W, theta, q, j_end))
         j_round_end = j_end
-    return KMeansResult(
-        W=W,
-        prototypes=theta,
-        assignments=AssignmentMatrix(q, hard=True),
-        trace=trace,
-    )
+    return W_out, theta_out, q_out, traces
 
 
 def mm_iteration(

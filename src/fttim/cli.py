@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import inspect
 import math
 import os
@@ -164,6 +165,16 @@ def _tim_config(args, parser: argparse.ArgumentParser) -> TimConfig:
         parser.error(str(exc))
 
 
+def _out_path(out: str) -> str:
+    """``out``, once its directory is known to exist, so that a path that
+    cannot be written is a usage error before the run, not after it."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+    return out
+
+
 def _write_report(report, out: str) -> None:
     bench.write_json(report.to_json_dict(), out)
     print(f"report written to {out}")
@@ -171,20 +182,22 @@ def _write_report(report, out: str) -> None:
 
 def _cmd_evaluate(args, parser) -> int:
     config = _tim_config(args, parser)
+    out = _out_path(args.out or "eval_report.json")
     report = bench.evaluate(_source(args, parser), config, args.episodes, args.seed,
                             args.workers or bench.default_workers())
     print(report.table())
     print(f"wall_time_s: {report.wall_time_s:.2f}")
-    _write_report(report, args.out or "eval_report.json")
+    _write_report(report, out)
     return 1 if report.failures else 0
 
 
 def _cmd_compare(args, parser) -> int:
     config = _tim_config(args, parser)
+    out = _out_path(args.out or "compare_report.json")
     report = bench.compare(_source(args, parser), config, args.episodes, args.seed,
                            args.workers or bench.default_workers())
     print(report.table())
-    _write_report(report, args.out or "compare_report.json")
+    _write_report(report, out)
     return 1 if any(r.failures for r in report.reports.values()) else 0
 
 
@@ -202,11 +215,11 @@ def _cmd_verify_theory(args, parser) -> int:
             parser.error("--tau-sweep must be a comma-separated list of finite floats > 0")
         if args.gap_instances < 1:
             parser.error("--gap-instances must be at least 1")
+        out = _out_path(args.out or "gap_trace.csv")
     results = bench.run_theory_suite(**counts, base_seed=args.seed)
     for r in results:
         print(r.line())
     if args.tau_sweep:
-        out = args.out or "gap_trace.csv"
         bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
                               base_seed=args.seed)
         print(f"gap trace written to {out}")

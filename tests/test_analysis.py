@@ -270,6 +270,49 @@ def test_j_trace_never_increases_with_small_w_steps():
     assert violations == 0
 
 
+def _result_bits(W, theta, q, trace):
+    # repr round-trips a float exactly, so equal reprs are equal bits
+    return [W.tobytes(), theta.tobytes(), q.tobytes(), repr(trace)]
+
+
+def test_w_step_rounds_are_the_same_alone_and_in_a_stack():
+    stack = analysis.make_random_instances(range(500, 507))
+    W, theta, q, traces = analysis._alternate(stack.query, stack.W, stack.theta, 100, 1,
+                                              analysis._LR_W)
+    for b in range(len(stack)):
+        alone = alternate_kmeans(stack.episode(b), w_steps_per_round=1, init_W=stack.W[b],
+                                 init_prototypes=stack.theta[b])
+        assert any(name == "w_step" for name, _ in alone.trace)
+        assert _result_bits(alone.W, alone.prototypes, alone.assignments.rows, alone.trace) \
+            == _result_bits(W[b], theta[b], q[b], traces[b])
+
+
+def test_rising_means_step_in_a_stack_raises_that_instance_message(monkeypatch):
+    micro = dict(num_classes=2, queries_per_class=2, dim=2, separation=3.0, stddev=0.3)
+    stack = analysis.make_random_instances(range(700, 708), **micro)
+    theta0 = analysis.norm_induced_map(stack.support, stack.W)
+    bad = analysis.norm_induced_map(stack.query[5], stack.W[5])
+    means = analysis._means_update
+
+    def rising_means(F, q_rows, prev):
+        # moves the prototypes of instance 5 only, wherever it sits
+        theta = means(F, q_rows, prev)
+        theta[np.all(F == bad, axis=(-2, -1))] += 1.0
+        return theta
+
+    monkeypatch.setattr(analysis, "_means_update", rising_means)
+    with pytest.raises(InternalConsistencyError) as alone:
+        alternate_kmeans(stack.episode(5), max_rounds=50, w_steps_per_round=0,
+                         init_W=stack.W[5])
+    assert str(alone.value).startswith("means step increased the K-means objective: ")
+    with pytest.raises(InternalConsistencyError) as stacked:
+        analysis._alternate(stack.query, stack.W, theta0, 50, 0, analysis._LR_W)
+    assert str(stacked.value) == str(alone.value)
+    # the other instances run through
+    keep = np.arange(len(stack)) != 5
+    analysis._alternate(stack.query[keep], stack.W[keep], theta0[keep], 50, 0, analysis._LR_W)
+
+
 def test_w_step_gradient_matches_central_differences():
     # one step at lr=1 reads back the gradient of J that the W steps of
     # alternate_kmeans and mm_iteration follow

@@ -231,7 +231,9 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([*args, "--out", str(out)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # checked before the run prints anything
+    err = captured.err
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"fttim {command}: error: {out}: No such file or directory"
 
@@ -713,6 +715,19 @@ def test_verify_theory_gap_instances_checked_only_with_a_sweep(capsys):
     assert exc.value.code == 2
     assert "--gap-instances must be at least 1" in capsys.readouterr().err
     assert main(list(_SMALL_THEORY) + ["--gap-instances", "0"]) == 0
+
+
+@pytest.mark.parametrize("prop", ["decomposition", "kkt", "lloyd", "mm", "sweep"])
+def test_theory_suite_with_one_property_reports_the_others_empty(prop):
+    names = ["decomposition", "kkt", "lloyd", "mm", "sweep"]
+    results = bench.run_theory_suite(
+        **{f"{p}_instances": (3 if p == prop else 0) for p in names})
+    assert len(results) == 5
+    for name, r in zip(names, results):
+        assert (r.passed, r.total) == ((3, 3) if name == prop else (0, 0)), r.line()
+        assert r.ok and r.line().startswith("PASS  ")
+        if name != prop:
+            assert f": 0/0  (" in r.line()
 
 
 def test_verify_theory_tamper_canary_fails(capsys, monkeypatch):

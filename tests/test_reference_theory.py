@@ -297,14 +297,25 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
-def _derived(stack):
-    """Everything the harness computes from a stack, one entry per kind."""
+def _stacked_lloyd(stack):
+    """The Lloyd property's run on a stack: final W, prototypes, hard rows
+    and the per-instance traces."""
+    theta = norm_induced_map(stack.support, stack.W)
+    return analysis._alternate(stack.query, stack.W, theta, 50, 0, analysis._LR_W)
+
+
+def _derived(stack, micro=False):
+    """Everything the harness computes from a stack, one entry per kind;
+    the brute-force optimum only on micro instances, where it is cheap."""
     d2 = analysis._d2(stack.query, stack.W, stack.theta)
     tight, rise = analysis._sweep_gaps(d2, SWEEP)
     trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2)
+    W, theta, q, _ = _stacked_lloyd(stack)
+    brute = [bench._brute_force_best_j(norm_induced_map(stack.query, W), 2)] if micro else []
     return [stack.support, stack.query, stack.W, stack.theta, d2,
             *analysis._decompose(d2, 15.0), tight, rise,
-            *(v for pair in trace for v in pair)]
+            *(v for pair in trace for v in pair),
+            analysis.minimize_soft_assignment_rows(d2, 0.01), W, theta, q, *brute]
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,11 +323,44 @@ def _derived(stack):
        micro=st.booleans())
 def test_stack_equals_its_stacks_of_one(seeds, micro):
     shape = MICRO if micro else {}
-    stacked = _derived(analysis.make_random_instances(seeds, **shape))
+    stack = analysis.make_random_instances(seeds, **shape)
+    stacked = _derived(stack, micro)
+    traces = _stacked_lloyd(stack)[3]
     for b, seed in enumerate(seeds):
-        alone = _derived(analysis.make_random_instances([seed], **shape))
+        single = analysis.make_random_instances([seed], **shape)
+        alone = _derived(single, micro)
         assert _bits(*(np.asarray(v)[b] for v in stacked)) == \
             _bits(*(np.asarray(v)[0] for v in alone))
+        # repr round-trips a float exactly, so equal reprs are equal bits
+        assert repr(traces[b]) == repr(_stacked_lloyd(single)[3][0])
+
+
+@pytest.mark.parametrize("base_seed", [0, 100_000, 600_000])
+def test_stacked_lloyd_brute_force_and_oracle_equal_reference(base_seed):
+    seeds = range(base_seed + 20_000, base_seed + 20_200)
+    stack = analysis.make_random_instances(seeds, **MICRO)
+    W, _, _, traces = _stacked_lloyd(stack)
+    targets = bench._brute_force_best_j(norm_induced_map(stack.query, W), 2)
+    for b, seed in enumerate(seeds):
+        support, query, W_ref, _ = _instance(seed, **MICRO)
+        names, values = zip(*traces[b])
+        assert names == ("assign", "means") * (len(names) // 2)
+        assert repr(list(values)) == repr(_lloyd(support, query, W_ref))
+        assert repr(targets[b].item()) == repr(_brute_force(norm_induced_map(query, W_ref), 2))
+    seed = base_seed + 10_000
+    for stack in bench._instance_stacks(100, seed):
+        for rows in analysis.minimize_soft_assignment_rows(bench._query_d2(stack), tau=0.01):
+            assert _bits(rows) == _bits(_oracle(_query_d2(seed), 0.01))
+            seed += 1
+    assert seed == base_seed + 10_100
+
+
+def test_projection_of_a_stack_equals_its_rows_and_the_reference():
+    V = 3 * np.random.default_rng(21).standard_normal((7, 12, 5))
+    stacked = analysis.project_simplex_rows(V)
+    for b in range(len(V)):
+        assert _bits(stacked[b]) == _bits(analysis.project_simplex_rows(V[b])) == \
+            _bits(_project(V[b]))
 
 
 def test_stack_of_one_equals_reference_instance():

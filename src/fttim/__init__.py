@@ -29,7 +29,6 @@ from .engine import (
     tim_loss,
 )
 from .analysis import (
-    AssignmentMatrix,
     BoundCheck,
     InternalConsistencyError,
     KMeansResult,
@@ -39,7 +38,6 @@ from .analysis import (
     clustering_term,
     entropy_decomposition,
     kkt_soft_assignments,
-    kmeans_objective,
     make_random_instance,
     minimize_soft_assignment_rows,
     mm_iteration,

@@ -15,7 +15,7 @@ majorize-minimize scheme on the clustering term at small temperatures.
 
 Two scalings of the barrier coexist here, deliberately:
 
-* ``bound_value`` (and gap reporting) uses J + (tau/2) sum q log q, whose
+* ``bound_check`` (and gap reporting) uses J + (tau/2) sum q log q, whose
   gap at the softmax assignments is (tau/2) sum q log q and vanishes as
   tau -> 0.
 * ``soft_assignment_objective`` is the temperature-consistent potential
@@ -29,7 +29,7 @@ features and (B, C, d) prototypes, the way the solver's kernel does: every
 reduction runs along per-instance axes in the order the single-instance
 form takes, so an instance's values are the same, bit for bit, in a stack
 of any size. The public per-episode functions are those helpers on one
-instance.
+instance; assignments go in and out as plain (n, C) arrays of simplex rows.
 """
 
 from __future__ import annotations
@@ -68,35 +68,11 @@ class InternalConsistencyError(RuntimeError):
 
 
 @dataclass
-class AssignmentMatrix:
-    """Per-query simplex assignment rows; ``hard`` means one-hot rows."""
-
-    rows: np.ndarray
-    hard: bool = False
-
-    def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
-            raise ValueError("assignment rows must form a 2-D array")
-        _check_simplex(self.rows, self.hard)
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, num_classes: int) -> "AssignmentMatrix":
-        labels = np.asarray(labels, dtype=np.int64)
-        rows = np.zeros((labels.shape[0], num_classes))
-        rows[np.arange(labels.shape[0]), labels] = 1.0
-        return cls(rows, hard=True)
-
-
-@dataclass
 class ObjectiveBreakdown:
-    """K-means value, entropy-decomposition terms, and the softened bound."""
+    """The two terms of the entropy decomposition."""
 
-    kmeans_value: float
     clustering_term: float
     dispersion_term: float
-    entropy_barrier: float
-    bound_value: float
 
 
 @dataclass
@@ -114,22 +90,18 @@ class BoundCheck:
 class KMeansResult:
     W: np.ndarray
     prototypes: np.ndarray
-    assignments: AssignmentMatrix
+    assignments: np.ndarray  # one-hot rows
     trace: list[tuple[str, float]]
 
 
-def _check_simplex(rows: np.ndarray, hard: bool = False) -> np.ndarray:
+def _check_simplex(rows: np.ndarray) -> np.ndarray:
     """``rows`` (any leading axes) after checking that every row lies on
-    the probability simplex, and with ``hard`` that every row is one-hot."""
+    the probability simplex."""
     if np.any(rows < 0):
         raise ValueError("assignment entries must be non-negative")
     sums = rows.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise ValueError("assignment rows must sum to 1")
-    if hard:
-        onehot = (rows == 1.0).sum(axis=-1)
-        if not (np.all(onehot == 1) & np.all((rows == 0) | (rows == 1))):
-            raise ValueError("hard assignments must be one-hot rows")
     return rows
 
 
@@ -169,28 +141,8 @@ def _soft_rows(d2: np.ndarray, tau: float) -> np.ndarray:
     return _softmax_rows(-(tau / 2.0) * d2)
 
 
-def _rows(assignments: AssignmentMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(assignments, AssignmentMatrix):
-        return assignments.rows
-    return AssignmentMatrix(np.asarray(assignments, dtype=np.float64)).rows
-
-
 def _j_value(d2: np.ndarray, q_rows: np.ndarray):
     return _total(q_rows * d2)
-
-
-def kmeans_objective(
-    episode: Episode,
-    W: np.ndarray,
-    prototypes: np.ndarray,
-    assignments: AssignmentMatrix | np.ndarray,
-) -> float:
-    """Assignment-weighted sum of squared prototype distances over the queries."""
-    q = _rows(assignments)
-    F = transformed_query_features(episode, W)
-    if prototypes.shape[1] != F.shape[1] or q.shape != (F.shape[0], prototypes.shape[0]):
-        raise ValueError("dimension mismatch between features, prototypes, assignments")
-    return _j_value(squared_distances(F, prototypes), q)
 
 
 def kkt_soft_assignments(
@@ -198,11 +150,10 @@ def kkt_soft_assignments(
     W: np.ndarray,
     prototypes: np.ndarray,
     tau: float,
-) -> AssignmentMatrix:
+) -> np.ndarray:
     """Distance-softmax assignment rows, the closed-form minimizer of the
     temperature-consistent soft objective (see module docstring)."""
-    return AssignmentMatrix(
-        _soft_rows(_d2(episode.query_vectors, W, prototypes), tau))
+    return _check_simplex(_soft_rows(_d2(episode.query_vectors, W, prototypes), tau))
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
@@ -254,24 +205,16 @@ def entropy_decomposition(
 
     Verifies the exact identity
     -sum p log p = (tau/2) * clustering + dispersion to 1e-8 and raises
-    :class:`InternalConsistencyError` on violation. The breakdown is
-    evaluated at the distance-softmax assignments, where the K-means value
-    coincides with the clustering term.
+    :class:`InternalConsistencyError` on violation. The clustering term is
+    the K-means objective J at the distance-softmax assignments.
     """
-    entropy, clustering, dispersion, residual = _decompose(
+    _, clustering, dispersion, residual = _decompose(
         _d2(episode.query_vectors, W, prototypes), tau)
     if residual > 1e-8:
         raise InternalConsistencyError(
             f"entropy decomposition identity violated by {residual:.3e} (relative)"
         )
-    barrier = -(tau / 2.0) * entropy
-    return ObjectiveBreakdown(
-        kmeans_value=clustering,
-        clustering_term=clustering,
-        dispersion_term=dispersion,
-        entropy_barrier=barrier,
-        bound_value=clustering + barrier,
-    )
+    return ObjectiveBreakdown(clustering_term=clustering, dispersion_term=dispersion)
 
 
 def decomposition_residual(
@@ -317,7 +260,7 @@ def bound_check(
     W: np.ndarray,
     prototypes: np.ndarray,
     tau: float,
-    assignments: AssignmentMatrix | np.ndarray,
+    assignments: np.ndarray,
 ) -> BoundCheck:
     """Measure the softened-bound value J + (tau/2) sum q log q against the
     clustering term.
@@ -326,10 +269,12 @@ def bound_check(
     at finite temperature. ``tight_at_kkt`` records whether the gap at the
     softmax assignments shrinks monotonically in magnitude along
     :data:`TAU_SWEEP`; ``gap_rise`` is the largest step-to-step increase
-    of that magnitude.
+    of that magnitude. ``assignments`` are (n, C) simplex rows.
     """
-    q = _rows(assignments)
+    q = _check_simplex(np.asarray(assignments, dtype=np.float64))
     d2 = _d2(episode.query_vectors, W, prototypes)
+    if q.shape != d2.shape:
+        raise ValueError("dimension mismatch between features, prototypes, assignments")
     H = _j_value(d2, _soft_rows(d2, tau))
     bound = _j_value(d2, q) + barrier_value(q, tau)
     tight, rise = _sweep_gaps(d2[None], TAU_SWEEP)
@@ -449,7 +394,7 @@ def alternate_kmeans(
              else np.asarray(init_prototypes, dtype=np.float64))
     W, theta, q, traces = _alternate(episode.query_vectors[None], W[None], theta[None],
                                      max_rounds, w_steps_per_round, lr_w)
-    return KMeansResult(W[0], theta[0], AssignmentMatrix(q[0], hard=True), traces[0])
+    return KMeansResult(W[0], theta[0], q[0], traces[0])
 
 
 def _alternate(

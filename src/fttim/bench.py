@@ -138,58 +138,55 @@ def _outcome(seed: int, episode: Episode, result, config: TimConfig) -> EpisodeO
     return EpisodeOutcome(seed, accuracy, heldout_accuracy, result.state.iter, False)
 
 
-def _solve_stack(stack, config, variants, outcomes, seconds) -> None:
-    """Solves ``stack``, a list of (index, seed, episode) of same-shaped
-    episodes, once per variant into ``outcomes[variant][index]``, adding each
-    variant's solve time to ``seconds``. The first ``transform_start``
-    iterations are the same for every variant, so they run once and each
-    variant goes on from a copy of that state; their time is split evenly."""
+def _solve_stack(stack, config, variants) -> list[tuple]:
+    """Solves ``stack``, a list of (seed, episode) of same-shaped episodes,
+    into one (variant, outcome, seconds) record per episode and variant,
+    where seconds is the episode's share of the stack's solve time for that
+    variant. The first ``transform_start`` iterations are the same for every
+    variant, so they run once and each variant goes on from a copy of that
+    state; their time is split evenly."""
     start = time.perf_counter()
-    shared = Batch([episode for _, _, episode in stack], config).start()
+    shared = Batch([episode for _, episode in stack], config).start()
     shared.run(min(config.transform_start, config.iterations))
     prefix = (time.perf_counter() - start) / len(variants)
+    records = []
     for k, variant in enumerate(variants):
         start = time.perf_counter()
         batch = shared.fork(variant, share=k == len(variants) - 1)
         batch.run(config.iterations)
-        for (i, seed, episode), result in zip(stack, batch.finish()):
-            outcomes[variant][i] = _outcome(seed, episode, result, batch.config)
-        seconds[variant] += prefix + time.perf_counter() - start
+        outcomes = [_outcome(seed, episode, result, batch.config)
+                    for (seed, episode), result in zip(stack, batch.finish())]
+        share = (prefix + time.perf_counter() - start) / len(stack)
+        records.extend((variant, outcome, share) for outcome in outcomes)
+    return records
 
 
-def _run_part(job) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
-    """Outcomes of a contiguous run of seeds for each variant, and each
-    variant's solve seconds. Consecutive same-shaped episodes are solved in
-    stacks of at most :func:`engine.stack_limit` of their dimension."""
+def _failed(variants, seeds, reason: str) -> list[tuple]:
+    """The records of episodes that failed at iteration 0, before solving."""
+    return [(v, EpisodeOutcome(seed, None, None, 0, True, reason), 0.0)
+            for seed in seeds for v in variants]
+
+
+def _run_part(job) -> list[tuple]:
+    """The records of a contiguous run of seeds. Consecutive same-shaped
+    episodes are solved in stacks of at most :func:`engine.stack_limit` of
+    their dimension."""
     source, config, variants, seeds = job
-    outcomes: dict[str, list] = {v: [None] * len(seeds) for v in variants}
-    seconds = dict.fromkeys(variants, 0.0)
-    stack: list[tuple[int, int, Episode]] = []
-    for i, seed in enumerate(seeds):
+    records, stack = [], []
+    for seed in seeds:
         try:
             episode = source.episode(seed)
         except DegenerateVectorError as exc:
-            for v in variants:
-                outcomes[v][i] = EpisodeOutcome(seed, None, None, 0, True,
-                                                f"episode input: {exc}")
+            records += _failed(variants, [seed], f"episode input: {exc}")
             continue
         if stack and (len(stack) == stack_limit(episode.dim)
-                      or _shape(stack[0][2]) != _shape(episode)):
-            _solve_stack(stack, config, variants, outcomes, seconds)
+                      or _shape(stack[0][1]) != _shape(episode)):
+            records += _solve_stack(stack, config, variants)
             stack = []
-        stack.append((i, seed, episode))
+        stack.append((seed, episode))
     if stack:
-        _solve_stack(stack, config, variants, outcomes, seconds)
-    return outcomes, seconds
-
-
-def _died(job, exc: BaseException) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
-    """The result of a part whose pool worker died: every episode failed at
-    iteration 0."""
-    _, _, variants, seeds = job
-    outcomes = {v: [EpisodeOutcome(seed, None, None, 0, True, f"worker died: {exc}")
-                    for seed in seeds] for v in variants}
-    return outcomes, dict.fromkeys(variants, 0.0)
+        records += _solve_stack(stack, config, variants)
+    return records
 
 
 def _shape(episode: Episode) -> tuple:
@@ -202,10 +199,11 @@ def _run_campaign(
     base_seed: int, workers: int,
 ) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
     """Outcomes of episodes base_seed .. base_seed+episodes-1, in order, for
-    each variant, and each variant's solve seconds. With more than one
-    worker, the pool gets ``workers`` contiguous runs of near-equal length
-    (fewer when there are fewer episodes). When a pool worker dies, every
-    run that it takes down with it is a run of failed episodes."""
+    each variant, and each variant's solve seconds, folded from the records
+    of every part. With more than one worker, the pool gets ``workers``
+    contiguous runs of near-equal length (fewer when there are fewer
+    episodes); a run that a dying pool worker takes down is a run of failed
+    episodes."""
     seeds = range(base_seed, base_seed + episodes)
     parts = min(episodes, workers) if workers > 1 else 1
     jobs = [(source, config, variants, seeds[k * episodes // parts:(k + 1) * episodes // parts])
@@ -224,9 +222,12 @@ def _run_campaign(
                 try:
                     results.append(future.result())
                 except BrokenProcessPool as exc:
-                    results.append(_died(job, exc))
-    outcomes = {v: [o for part, _ in results for o in part[v]] for v in variants}
-    seconds = {v: sum(part[v] for _, part in results) for v in variants}
+                    results.append(_failed(variants, job[3], f"worker died: {exc}"))
+    outcomes: dict[str, list] = {v: [None] * episodes for v in variants}
+    seconds = dict.fromkeys(variants, 0.0)
+    for variant, outcome, share in itertools.chain.from_iterable(results):
+        outcomes[variant][outcome.seed - base_seed] = outcome
+        seconds[variant] += share
     return outcomes, seconds
 
 
@@ -295,40 +296,52 @@ def evaluate(
     base_seed: int,
     workers: int = 1,
 ) -> EvalReport:
-    """Run a campaign and aggregate accuracies.
+    """Run a campaign of ``config.variant`` and report it (see :func:`_reports`)."""
+    return _reports(source, config, (config.variant,), episodes, base_seed,
+                    workers)[config.variant]
 
-    When the source produces held-out splits the report scores held-out
+
+def _reports(source, config: TimConfig, variants: tuple[str, ...], episodes: int,
+             base_seed: int, workers: int) -> dict[str, EvalReport]:
+    """Runs the variants in one campaign and reports each.
+
+    When the source produces held-out splits a report scores held-out
     accuracy (the semi-supervised protocol); otherwise query accuracy.
-    Failed episodes are excluded from the mean, flagged per episode.
-    """
+    Failed episodes are excluded from the mean, flagged per episode. Each
+    variant's ``wall_time_s`` is its share of the campaign wall time, in
+    proportion to the sum of its episodes' solve-time shares, so the
+    variants' wall times sum to the campaign's."""
     start = time.perf_counter()
-    outcomes = run_episodes(source, config, episodes, base_seed, workers)
-    return _eval_report(source, config, episodes, base_seed, outcomes,
-                        time.perf_counter() - start)
-
-
-def _eval_report(source, config: TimConfig, episodes: int, base_seed: int,
-                 outcomes: list[EpisodeOutcome], wall: float) -> EvalReport:
+    outcomes, seconds = _run_campaign(source, config, variants, episodes,
+                                      base_seed, workers)
+    wall = time.perf_counter() - start
+    total = sum(seconds.values())
     semi = getattr(source, "heldout_per_class", 0) > 0
-    if semi:
-        outcomes = [dataclasses.replace(o, accuracy=o.heldout_accuracy) for o in outcomes]
-    mean, ci = _mean_ci([o.accuracy for o in outcomes
-                         if not o.failure_flag and o.accuracy is not None])
-    return EvalReport(
-        variant=config.variant,
-        episodes=episodes,
-        mean_accuracy=mean,
-        ci95_halfwidth=ci,
-        per_episode=outcomes,
-        config_echo={
-            "source": source.echo(),
-            "protocol": "semi_supervised" if semi else "standard",
-            "episodes": episodes,
-            "base_seed": base_seed,
-            "tim": dataclasses.asdict(config),
-        },
-        wall_time_s=wall,
-    )
+    reports = {}
+    for variant in variants:
+        per_episode = outcomes[variant]
+        if semi:
+            per_episode = [dataclasses.replace(o, accuracy=o.heldout_accuracy)
+                           for o in per_episode]
+        mean, ci = _mean_ci([o.accuracy for o in per_episode
+                             if not o.failure_flag and o.accuracy is not None])
+        reports[variant] = EvalReport(
+            variant=variant,
+            episodes=episodes,
+            mean_accuracy=mean,
+            ci95_halfwidth=ci,
+            per_episode=per_episode,
+            config_echo={
+                "source": source.echo(),
+                "protocol": "semi_supervised" if semi else "standard",
+                "episodes": episodes,
+                "base_seed": base_seed,
+                "tim": dataclasses.asdict(dataclasses.replace(config, variant=variant)),
+            },
+            wall_time_s=wall * (seconds[variant] / total if total > 0
+                                else 1.0 / len(variants)),
+        )
+    return reports
 
 
 @dataclass
@@ -411,21 +424,9 @@ def compare(
     report per-variant means plus paired differences against ft_tim.
 
     The variants run in one campaign that solves their shared first
-    ``transform_start`` iterations once per episode. Each variant's
-    ``wall_time_s`` is its share of the campaign wall time, in proportion to
-    its solve time with the shared iterations split evenly, so the shares
-    sum to the campaign wall time."""
-    start = time.perf_counter()
-    outcomes, seconds = _run_campaign(source, config, VARIANTS, episodes,
-                                      base_seed, workers)
-    wall = time.perf_counter() - start
-    total = sum(seconds.values())
-    reports: dict[str, EvalReport] = {}
-    for variant in VARIANTS:
-        share = seconds[variant] / total if total > 0 else 1.0 / len(VARIANTS)
-        reports[variant] = _eval_report(
-            source, dataclasses.replace(config, variant=variant), episodes,
-            base_seed, outcomes[variant], wall * share)
+    ``transform_start`` iterations once per episode, split evenly among
+    them in each variant's wall time (see :func:`_reports`)."""
+    reports = _reports(source, config, VARIANTS, episodes, base_seed, workers)
     paired = [_paired_stats("ft_tim", reports["ft_tim"], other, reports[other])
               for other in VARIANTS if other != "ft_tim"]
     return CompareReport(episodes=episodes, reports=reports, paired=paired)

@@ -175,19 +175,15 @@ def _out_path(out: str) -> str:
     return out
 
 
-def _write_report(report, out: str) -> None:
-    bench.write_json(report.to_json_dict(), out)
-    print(f"report written to {out}")
-
-
 def _cmd_evaluate(args, parser) -> int:
     config = _tim_config(args, parser)
     out = _out_path(args.out or "eval_report.json")
     report = bench.evaluate(_source(args, parser), config, args.episodes, args.seed,
                             args.workers or bench.default_workers())
+    bench.write_json(report.to_json_dict(), out)
     print(report.table())
     print(f"wall_time_s: {report.wall_time_s:.2f}")
-    _write_report(report, out)
+    print(f"report written to {out}")
     return 1 if report.failures else 0
 
 
@@ -196,8 +192,9 @@ def _cmd_compare(args, parser) -> int:
     out = _out_path(args.out or "compare_report.json")
     report = bench.compare(_source(args, parser), config, args.episodes, args.seed,
                            args.workers or bench.default_workers())
+    bench.write_json(report.to_json_dict(), out)
     print(report.table())
-    _write_report(report, out)
+    print(f"report written to {out}")
     return 1 if any(r.failures for r in report.reports.values()) else 0
 
 
@@ -217,12 +214,12 @@ def _cmd_verify_theory(args, parser) -> int:
             parser.error("--gap-instances must be at least 1")
         out = _out_path(args.out or "gap_trace.csv")
     results = bench.run_theory_suite(**counts, base_seed=args.seed)
-    for r in results:
-        print(r.line())
+    lines = [r.line() for r in results]
     if args.tau_sweep:
         bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
                               base_seed=args.seed)
-        print(f"gap trace written to {out}")
+        lines.append(f"gap trace written to {out}")
+    print("\n".join(lines))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -288,14 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand, after merging its config file and resolving its
     seed. A file it cannot read, parse, sample from or write, a pool
-    worker's included, is a usage error: one line that names the file."""
+    worker's included, is a usage error: one line that names the file.
+    Each command writes its files before it prints, so a reader of stdout
+    that goes away costs only the printed lines: exit code 1."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     parser = args.parser
     _merge_config_file(args, parser, argv)
     args.seed = _resolve_seed(args, parser)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, so it points at devnull now
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FeatureFormatError as exc:  # names the file and line itself
         parser.error(str(exc))
     except OSError as exc:

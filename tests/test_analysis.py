@@ -7,20 +7,20 @@ import pytest
 
 import fttim.analysis as analysis
 from fttim import (
-    AssignmentMatrix,
     Episode,
     InternalConsistencyError,
     alternate_kmeans,
     bound_check,
     entropy_decomposition,
     kkt_soft_assignments,
-    kmeans_objective,
     make_random_instance,
     mm_iteration,
     project_simplex_rows,
     soft_assignment_objective,
 )
 from fttim.analysis import (
+    _check_simplex,
+    _j_value,
     _w_steps,
     barrier_value,
     decomposition_residual,
@@ -46,23 +46,27 @@ def _manual_equidistant_instance():
     return episode, W, theta
 
 
+def _kmeans_j(episode, W, theta, q):
+    """The K-means objective J of the query rows under the map."""
+    return _j_value(squared_distances(transformed_query_features(episode, W), theta), q)
+
+
 # --- K-means objective ------------------------------------------------------
 
 def test_objective_zero_when_prototypes_sit_on_points():
     episode, W, _ = make_random_instance(0, num_classes=4, queries_per_class=1)
     F = transformed_query_features(episode, W)
-    q = AssignmentMatrix.from_labels(np.arange(4), 4)
-    assert kmeans_objective(episode, W, F, q) == 0.0
+    q = np.eye(4)  # the one-hot rows of labels 0, 1, 2, 3
+    assert _j_value(squared_distances(F, F), q) == 0.0
 
 
 def test_objective_uniform_two_classes():
     episode, W, theta = make_random_instance(1, num_classes=2)
     F = transformed_query_features(episode, W)
     d2 = squared_distances(F, theta[:2])
-    q = AssignmentMatrix(np.full((F.shape[0], 2), 0.5))
+    q = _check_simplex(np.full((F.shape[0], 2), 0.5))
     expected = 0.5 * float(np.sum(d2))
-    assert kmeans_objective(episode, W, theta[:2], q) == pytest.approx(expected,
-                                                                       rel=1e-12)
+    assert _j_value(d2, q) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_matches_loop_reimplementation():
@@ -70,8 +74,8 @@ def test_objective_matches_loop_reimplementation():
         episode, W, theta = make_random_instance(seed)
         rng = np.random.default_rng(seed + 99)
         q = rng.dirichlet(np.ones(theta.shape[0]), size=episode.num_queries)
-        got = kmeans_objective(episode, W, theta, AssignmentMatrix(q))
         F = transformed_query_features(episode, W)
+        got = _j_value(squared_distances(F, theta), _check_simplex(q))
         expected = 0.0
         for i in range(F.shape[0]):
             for c in range(theta.shape[0]):
@@ -83,20 +87,18 @@ def test_objective_matches_loop_reimplementation():
 
 def test_objective_dimension_mismatch():
     episode, W, theta = make_random_instance(2)
-    q = AssignmentMatrix(np.full((episode.num_queries, 3), 1.0 / 3))
+    q = np.full((episode.num_queries, 3), 1.0 / 3)
     with pytest.raises(ValueError, match="mismatch"):
-        kmeans_objective(episode, W, theta, q)
+        bound_check(episode, W, theta, tau=1.0, assignments=q)
 
 
-# --- assignment matrix ------------------------------------------------------
+# --- assignment rows --------------------------------------------------------
 
 def test_assignment_rows_must_be_simplex():
     with pytest.raises(ValueError, match="sum"):
-        AssignmentMatrix(np.array([[0.5, 0.4]]))
+        _check_simplex(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError, match="non-negative"):
-        AssignmentMatrix(np.array([[1.2, -0.2]]))
-    with pytest.raises(ValueError, match="one-hot"):
-        AssignmentMatrix(np.array([[0.5, 0.5]]), hard=True)
+        _check_simplex(np.array([[1.2, -0.2]]))
 
 
 # --- entropy decomposition --------------------------------------------------
@@ -136,9 +138,13 @@ def test_decomposition_identity_random_sweep():
 def test_decomposition_breakdown_fields():
     episode, W, theta = make_random_instance(4)
     b = entropy_decomposition(episode, W, theta, tau=2.0)
-    assert b.entropy_barrier <= 0.0
-    assert b.bound_value == pytest.approx(b.kmeans_value + b.entropy_barrier)
-    assert b.kmeans_value == pytest.approx(b.clustering_term)
+    # at the distance-softmax rows: the barrier, the bound and J
+    q = kkt_soft_assignments(episode, W, theta, tau=2.0)
+    barrier = barrier_value(q, 2.0)
+    j = _kmeans_j(episode, W, theta, q)
+    assert barrier <= 0.0
+    assert bound_check(episode, W, theta, 2.0, q).bound_value == pytest.approx(j + barrier)
+    assert j == pytest.approx(b.clustering_term)
 
 
 def test_decomposition_tamper_canary(monkeypatch):
@@ -153,7 +159,7 @@ def test_decomposition_tamper_canary(monkeypatch):
 def test_kkt_uniform_when_equidistant():
     episode, W, theta = _manual_equidistant_instance()
     q = kkt_soft_assignments(episode, W, theta, tau=2.0)
-    np.testing.assert_allclose(q.rows, [[0.5, 0.5]], atol=1e-12)
+    np.testing.assert_allclose(q, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_kkt_hard_limit_at_large_tau():
@@ -162,8 +168,8 @@ def test_kkt_hard_limit_at_large_tau():
     F = transformed_query_features(episode, W)
     d2 = squared_distances(F, theta)
     nearest = np.argmin(d2, axis=1)
-    assert np.all(np.argmax(q.rows, axis=1) == nearest)
-    assert np.min(np.max(q.rows, axis=1)) > 1 - 1e-6
+    assert np.all(np.argmax(q, axis=1) == nearest)
+    assert np.min(np.max(q, axis=1)) > 1 - 1e-6
 
 
 def test_kkt_matches_projected_gradient_oracle():
@@ -177,7 +183,7 @@ def test_kkt_minimizes_soft_objective_against_perturbations():
     F = transformed_query_features(episode, W)
     d2 = squared_distances(F, theta)
     tau = 0.5
-    q = kkt_soft_assignments(episode, W, theta, tau).rows
+    q = kkt_soft_assignments(episode, W, theta, tau)
     base = soft_assignment_objective(d2, q, tau)
     for _ in range(100):
         perturbed = project_simplex_rows(q + 0.05 * rng.standard_normal(q.shape))
@@ -200,10 +206,10 @@ def test_bound_equals_objective_for_hard_assignments():
     episode, W, theta = make_random_instance(10)
     F = transformed_query_features(episode, W)
     d2 = squared_distances(F, theta)
-    hard = AssignmentMatrix.from_labels(np.argmin(d2, axis=1), theta.shape[0])
+    hard = np.eye(theta.shape[0])[np.argmin(d2, axis=1)]
     check = bound_check(episode, W, theta, tau=0.8, assignments=hard)
-    j = kmeans_objective(episode, W, theta, hard)
-    assert barrier_value(hard.rows, 0.8) == 0.0
+    j = _j_value(d2, _check_simplex(hard))
+    assert barrier_value(hard, 0.8) == 0.0
     assert check.bound_value == pytest.approx(j, rel=1e-12)
 
 
@@ -225,7 +231,7 @@ def test_bound_check_reports_tightness_flag():
     check = bound_check(episode, W, theta, tau=1.0, assignments=q)
     assert isinstance(check.tight_at_kkt, bool)
     # gap at the softmax assignments is exactly the barrier
-    assert check.gap == pytest.approx(barrier_value(q.rows, 1.0), rel=1e-12)
+    assert check.gap == pytest.approx(barrier_value(q, 1.0), rel=1e-12)
 
 
 # --- alternating minimization ----------------------------------------------
@@ -237,7 +243,7 @@ def test_one_round_frozen_w_is_plain_lloyd():
     F = transformed_query_features(episode, W)
     d2 = squared_distances(F, theta)
     labels = np.argmin(d2, axis=1)
-    np.testing.assert_array_equal(np.argmax(result.assignments.rows, axis=1),
+    np.testing.assert_array_equal(np.argmax(result.assignments, axis=1),
                                   labels)
     for c in range(theta.shape[0]):
         members = F[labels == c]
@@ -283,7 +289,7 @@ def test_w_step_rounds_are_the_same_alone_and_in_a_stack():
         alone = alternate_kmeans(stack.episode(b), w_steps_per_round=1, init_W=stack.W[b],
                                  init_prototypes=stack.theta[b])
         assert any(name == "w_step" for name, _ in alone.trace)
-        assert _result_bits(alone.W, alone.prototypes, alone.assignments.rows, alone.trace) \
+        assert _result_bits(alone.W, alone.prototypes, alone.assignments, alone.trace) \
             == _result_bits(W[b], theta[b], q[b], traces[b])
 
 
@@ -320,13 +326,13 @@ def test_w_step_gradient_matches_central_differences():
     for seed in range(3):
         episode, W, theta = make_random_instance(seed + 400)
         q = kkt_soft_assignments(episode, W, theta, tau=2.0)
-        grad = W - _w_steps(episode.query_vectors, W, theta, q.rows, lr=1.0, steps=1)
+        grad = W - _w_steps(episode.query_vectors, W, theta, q, lr=1.0, steps=1)
         for idx in np.ndindex(W.shape):
             plus, minus = W.copy(), W.copy()
             plus[idx] += h
             minus[idx] -= h
-            fd = (kmeans_objective(episode, plus, theta, q)
-                  - kmeans_objective(episode, minus, theta, q)) / (2 * h)
+            fd = (_kmeans_j(episode, plus, theta, q)
+                  - _kmeans_j(episode, minus, theta, q)) / (2 * h)
             assert abs(grad[idx] - fd) <= rtol * max(atol / rtol, abs(grad[idx]), abs(fd))
 
 
@@ -338,7 +344,7 @@ def test_empty_cluster_keeps_previous_prototype():
     result = alternate_kmeans(episode, max_rounds=1, w_steps_per_round=0,
                               init_W=W, init_prototypes=theta)
     np.testing.assert_array_equal(result.prototypes[1], theta[1])
-    assert result.assignments.rows[:, 1].sum() == 0.0
+    assert result.assignments[:, 1].sum() == 0.0
 
 
 def test_prototype_means_are_optimal_for_fixed_assignments():
@@ -347,10 +353,10 @@ def test_prototype_means_are_optimal_for_fixed_assignments():
     result = alternate_kmeans(episode, max_rounds=1, w_steps_per_round=0,
                               init_W=W, init_prototypes=theta)
     q = result.assignments
-    base = kmeans_objective(episode, W, result.prototypes, q)
+    base = _kmeans_j(episode, W, result.prototypes, q)
     for _ in range(50):
         perturbed = result.prototypes + 0.1 * rng.standard_normal(theta.shape)
-        assert kmeans_objective(episode, W, perturbed, q) >= base - 1e-12
+        assert _kmeans_j(episode, W, perturbed, q) >= base - 1e-12
 
 
 # --- majorize-minimize harness ----------------------------------------------

@@ -242,14 +242,16 @@ def test_extreme_settings_end_flagged_or_finite(tau, lr_theta, lr_w, variant,
 
 @dataclasses.dataclass(frozen=True)
 class _SourceWithZeroQuery:
-    """The small synthetic source, with one episode whose last query the
-    linear map sends to zero."""
+    """The small synthetic source with ``heldout_per_class``, with one
+    episode whose last query the linear map sends to zero."""
 
     bad_seed: int
     heldout_per_class: int = 0
 
     def episode(self, seed):
-        return _zero_query_episode(seed) if seed == self.bad_seed else SMALL.episode(seed)
+        source = dataclasses.replace(SMALL, heldout_per_class=self.heldout_per_class)
+        return _zero_query_episode(seed, source) if seed == self.bad_seed \
+            else source.episode(seed)
 
     def echo(self):
         return {"kind": "synthetic-with-zero-query", "bad_seed": self.bad_seed}
@@ -276,6 +278,17 @@ def test_reports_identical_across_workers_with_a_failure_inside_a_batch(episodes
     outcomes = bench.run_episodes(source, config, episodes, 100, workers=3)
     (failed,) = [o for o in outcomes if o.failure_flag]
     assert failed.error.startswith(f"iteration {config.transform_start}: transformed feature")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_reports_a_variant_as_compare_does(workers):
+    source = _SourceWithZeroQuery(bad_seed=103, heldout_per_class=2)
+    compared = bench.compare(source, QUICK, 7, 100, workers)
+    assert compared.reports["linear_transform"].failures == 1
+    for variant in VARIANTS:
+        config = dataclasses.replace(QUICK, variant=variant)
+        assert _without_wall_time(bench.evaluate(source, config, 7, 100, workers)) \
+            == _without_wall_time(compared.reports[variant])
 
 
 def test_compare_cli_reports_identical_across_workers(tmp_path):

@@ -1,10 +1,14 @@
 """Campaign runner, report schema, CLI flags, theory harness, export."""
 
+import errno
 import importlib
 import importlib.util
+import inspect
+import io
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -324,6 +328,30 @@ def test_cli_surface_is_pinned():
     surface = {name: [opt for action in sub._actions for opt in action.option_strings]
                for name, sub in subparsers.choices.items()}
     assert surface == expected
+
+
+def test_package_surface_is_pinned():
+    # the names `import fttim` gives, by the module they come from; a new
+    # one must be added here on purpose
+    expected = [
+        "DegenerateVectorError", "Episode", "FeatureBank", "FeatureFormatError",
+        "SyntheticTaskSpec", "TooFewClassesError", "class_separation_ratio",
+        "generate_synthetic_episode", "l2_normalize_rows", "load_feature_bank",
+        "sample_episode", "write_feature_bank",
+        "init_transform", "norm_induced_map",
+        "EpisodeFailure", "LossTerms", "RunResult", "SolverState", "TimConfig", "posteriors",
+        "predict_features", "run_ft_tim", "tim_gradients", "tim_loss",
+        "BoundCheck", "InternalConsistencyError", "KMeansResult", "ObjectiveBreakdown",
+        "alternate_kmeans", "bound_check", "clustering_term", "entropy_decomposition",
+        "kkt_soft_assignments", "make_random_instance", "minimize_soft_assignment_rows",
+        "mm_iteration", "project_simplex_rows", "soft_assignment_objective",
+        "BankSource", "CompareReport", "EvalReport", "SyntheticSource", "compare", "evaluate",
+        "export_embeddings", "run_theory_suite",
+    ]
+    fttim = importlib.import_module("fttim")
+    names = [name for name, value in vars(fttim).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(names) == sorted(expected)
 
 
 def _small_bank(path, seed):
@@ -735,6 +763,40 @@ def test_verify_theory_tamper_canary_fails(capsys, monkeypatch):
     monkeypatch.setattr(analysis, "_CLUSTERING_SCALE_OVERRIDE", 1.0)
     assert main(list(_SMALL_THEORY)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+class _GoneReader(io.TextIOBase):
+    """A stdout whose reader has gone away, on a file descriptor of its own."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "verify-theory"])
+def test_stdout_reader_gone_is_exit_1_after_the_file_is_written(tmp_path, capsys, command):
+    if command == "verify-theory":
+        args = [*_SMALL_THEORY, "--tau-sweep", "1,0.1", "--gap-instances", "2"]
+    else:
+        args = [command, *_fast_args(episodes=3)[1:]]
+    assert main([*args, "--out", str(tmp_path / "normal")]) == 0
+    capsys.readouterr()
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    stdout, sys.stdout = sys.stdout, _GoneReader(fd)
+    try:
+        code = main([*args, "--out", str(tmp_path / "piped")])
+    finally:
+        sys.stdout = stdout
+        os.close(fd)
+    assert code == 1
+    assert not any(line.startswith("usage:") for line in capsys.readouterr().err.splitlines())
+    assert _strip_wall_time((tmp_path / "piped").read_text()) \
+        == _strip_wall_time((tmp_path / "normal").read_text())
 
 
 def test_verify_theory_gap_csv(tmp_path, capsys):

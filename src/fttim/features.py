@@ -1,9 +1,11 @@
 """Feature ingestion, normalization, synthetic task generation, and episodic sampling.
 
 Feature banks live on disk as a small text table: one header line
-``d=<dim> n=<rows>`` followed by ``n`` lines of ``<class_id>,<f1>,...,<fd>``
-with ``.``-decimal floats, LF line endings, UTF-8, no padding. Floats are
-written with the shortest round-tripping decimal form, so
+``d=<dim> n=<rows>`` followed by ``n`` lines of ``<class_id>,<f1>,...,<fd>``,
+ASCII only, with an integer class id, ``float()``-style decimal fields, LF
+line endings and no padding. A load parses the records in one pass and,
+when that pass fails, names the first bad line. Floats are written with the
+shortest round-tripping decimal form, so
 ``write_feature_bank(load_feature_bank(path)) == path`` byte for byte on
 canonical files.
 
@@ -15,6 +17,7 @@ scoring layer touches ``query_hidden_labels``.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -115,84 +118,97 @@ _FORBIDDEN = {
 }
 
 
-def _check_record_characters(path: Path, text: str) -> None:
-    """Reject forbidden characters after the header line with whole-text
-    scans; the line number is found only when one is present."""
-    start = text.find("\n") + 1
-    if start == 0:
-        return
+def _check_record_characters(path: Path, data: bytes, start: int) -> None:
+    """Reject forbidden bytes from offset ``start`` on with whole-file scans;
+    the line number is found only when one is present."""
     hits = [(pos, why) for c, why in _FORBIDDEN.items()
-            if (pos := text.find(c, start)) >= 0]
-    if not text.isascii():
-        pos = next((i for i in range(start, len(text)) if not text[i].isascii()), None)
-        if pos is not None:
-            hits.append((pos, "non-ASCII character in a record"))
+            if (pos := data.find(c.encode(), start)) >= 0]
+    if not data.isascii():  # a header that passed its regex is ASCII
+        hits.append((re.compile(rb"[\x80-\xff]").search(data, start).start(),
+                     "non-ASCII character in a record"))
     if hits:
         pos, why = min(hits)
-        lineno = text.count("\n", 0, pos) + 1
+        lineno = data.count(b"\n", 0, pos) + 1
         raise FeatureFormatError(f"{path}: line {lineno}: {why}")
+
+
+def _class_ids(data: bytes, pos: int, n: int) -> np.ndarray:
+    """The integers before the first comma of the ``n`` records from offset
+    ``pos`` on."""
+    class_ids = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        comma = data.find(b",", pos)
+        class_ids[i] = int(data[pos:comma])
+        pos = data.find(b"\n", comma) + 1
+    return class_ids
+
+
+def _raise_first_bad_record(path: Path, records: list[bytes], dim: int) -> None:
+    """Raise the error of the first record that is not ``dim + 1`` fields:
+    a non-negative class id that ``int()`` reads and int64 holds, then
+    finite values that ``float()`` reads."""
+    for lineno, line in enumerate(records, start=2):
+        parts, where = line.split(b","), f"{path}: line {lineno}"
+        if len(parts) != dim + 1:
+            raise FeatureFormatError(f"{where}: expected {dim + 1} fields, got {len(parts)}")
+        try:
+            cid = int(parts[0])
+        except ValueError:
+            raise FeatureFormatError(
+                f"{where}: class id {parts[0].decode()!r} is not an integer") from None
+        if cid < 0:
+            raise FeatureFormatError(f"{where}: class id must be non-negative")
+        try:
+            row = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise FeatureFormatError(f"{where}: non-numeric feature field") from None
+        if not all(map(math.isfinite, row)):
+            raise FeatureFormatError(f"{where}: non-finite feature value")
+        np.int64(cid)  # OverflowError past int64, as storing the id would raise
+    raise FeatureFormatError(f"{path}: the text reader rejected a valid table")
 
 
 def load_feature_bank(path: str | Path) -> FeatureBank:
     """Parse a feature-table file into a :class:`FeatureBank`.
 
-    Every format violation is reported with the 1-based line number of the
-    offending line.
+    The records are parsed in one pass of numpy's text reader, which rounds
+    as ``float()`` does. When that pass rejects the file, the records are
+    read again one by one to report the violation with the 1-based number
+    of the first offending line.
     """
     path = Path(path)
-    text = path.read_bytes().decode("utf-8")  # no newline translation
-    if text == "":
+    data = path.read_bytes()  # no decoding, no newline translation
+    if data == b"":
         raise FeatureFormatError(f"{path}: empty file (line 1)")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing LF
-    header = _HEADER_RE.match(lines[0])
+    start = data.find(b"\n") + 1 or len(data) + 1  # line 2, or past the end
+    head = data[:start - 1].decode("utf-8", "replace")
+    header = _HEADER_RE.match(head)
     if header is None:
         raise FeatureFormatError(
-            f"{path}: line 1: malformed header {lines[0]!r}, expected 'd=<int> n=<int>'"
+            f"{path}: line 1: malformed header {head!r}, expected 'd=<int> n=<int>'"
         )
     dim, n = int(header.group(1)), int(header.group(2))
     if dim < 1:
         raise FeatureFormatError(f"{path}: line 1: dimension must be positive")
-    _check_record_characters(path, text)
-    if len(lines) - 1 != n:
+    _check_record_characters(path, data, start)
+    rows = data.count(b"\n") - data.endswith(b"\n")
+    if rows != n:
         raise FeatureFormatError(
-            f"{path}: header declares n={n} rows but file has {len(lines) - 1} "
-            f"(line {min(len(lines), n + 1) + 1})"
+            f"{path}: header declares n={n} rows but file has {rows} "
+            f"(line {min(rows, n) + 2})"
         )
-    class_ids = np.empty(n, dtype=np.int64)
-    vectors = np.empty((n, dim), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise FeatureFormatError(
-                f"{path}: line {lineno}: expected {dim + 1} fields, got {len(parts)}"
-            )
-        try:
-            cid = int(parts[0])
-        except ValueError:
-            raise FeatureFormatError(
-                f"{path}: line {lineno}: class id {parts[0]!r} is not an integer"
-            ) from None
-        if cid < 0:
-            raise FeatureFormatError(
-                f"{path}: line {lineno}: class id must be non-negative"
-            )
-        try:
-            row = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise FeatureFormatError(
-                f"{path}: line {lineno}: non-numeric feature field"
-            ) from None
-        # a finite sum proves every value finite; overflow falls to the slow check
-        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
-            raise FeatureFormatError(
-                f"{path}: line {lineno}: non-finite feature value"
-            )
-        class_ids[i] = cid
-        vectors[i] = row
-    return FeatureBank(dim=dim, class_ids=class_ids, vectors=vectors)
+    if n == 0:
+        return FeatureBank(dim=dim, class_ids=np.empty(0, dtype=np.int64),
+                           vectors=np.empty((0, dim)))
+    if data[start] != ord("\n"):  # the reader warns when every line is blank
+        try:  # FeatureBank checks the table's shape, the ids' signs and finiteness
+            table = np.loadtxt(io.BytesIO(data), skiprows=1, delimiter=",", comments=None,
+                               dtype=np.float64, ndmin=2)
+            return FeatureBank(dim=dim, class_ids=_class_ids(data, start, n),
+                               vectors=table[:, 1:])
+        except (ValueError, OverflowError):
+            pass  # the record loop names the first bad line
+    _raise_first_bad_record(path, data[start:].split(b"\n")[:n], dim)
 
 
 def write_feature_bank(bank: FeatureBank, path: str | Path) -> None:

@@ -186,6 +186,15 @@ def _unusable_bank(tmp_path, case):
     if case == "malformed":
         path.write_text("d=2 n=2\n0,1.0,2.0\n1,x,2.0\n")
         return path, "line 3: non-numeric feature field"
+    if case == "not_utf8":
+        path.write_bytes(b"d=2 n=1\n0,1.0,\xff\n")
+        return path, "line 2: non-ASCII character in a record"
+    if case == "not_utf8_header":
+        path.write_bytes(b"d=2 n=1\xff\n0,1.0,2.0\n")
+        return path, "line 1: malformed header 'd=2 n=1\ufffd', expected 'd=<int> n=<int>'"
+    if case == "impossible_dim":
+        path.write_bytes(b"d=1000000000000 n=1\n0,1.0\n")
+        return path, "line 2: expected 1000000000001 fields, got 2"
     if case == "too_few_classes":
         write_feature_bank(FeatureBank(dim=2, class_ids=np.repeat([0, 1], 20),
                                        vectors=np.ones((40, 2))), path)
@@ -193,7 +202,8 @@ def _unusable_bank(tmp_path, case):
     return path, "No such file or directory"
 
 
-@pytest.mark.parametrize("case", ["missing", "malformed", "too_few_classes"])
+@pytest.mark.parametrize("case", ["missing", "malformed", "too_few_classes", "not_utf8",
+                                  "not_utf8_header", "impossible_dim"])
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
 def test_unusable_bank_is_usage_error(tmp_path, capsys, command, workers, case):

@@ -1,5 +1,6 @@
 """Transductive one-shot inference over fixed features, with a fine-tuned
-norm-induced feature transformation and a clustering-side analysis toolkit."""
+norm-induced feature transformation and a clustering-side analysis toolkit,
+whose names live in :mod:`fttim.analysis`."""
 
 from .features import (
     DegenerateVectorError,
@@ -27,22 +28,6 @@ from .engine import (
     run_ft_tim,
     tim_gradients,
     tim_loss,
-)
-from .analysis import (
-    BoundCheck,
-    InternalConsistencyError,
-    KMeansResult,
-    ObjectiveBreakdown,
-    alternate_kmeans,
-    bound_check,
-    clustering_term,
-    entropy_decomposition,
-    kkt_soft_assignments,
-    make_random_instance,
-    minimize_soft_assignment_rows,
-    mm_iteration,
-    project_simplex_rows,
-    soft_assignment_objective,
 )
 from .bench import (
     BankSource,

@@ -15,7 +15,7 @@ majorize-minimize scheme on the clustering term at small temperatures.
 
 Two scalings of the barrier coexist here, deliberately:
 
-* ``bound_check`` (and gap reporting) uses J + (tau/2) sum q log q, whose
+* ``bound_check`` and ``gap_terms`` use J + (tau/2) sum q log q, whose
   gap at the softmax assignments is (tau/2) sum q log q and vanishes as
   tau -> 0.
 * ``soft_assignment_objective`` is the temperature-consistent potential
@@ -42,7 +42,6 @@ from .engine import PROB_FLOOR, _grad_w, _softmax_rows
 from .features import (
     Episode,
     SyntheticTaskSpec,
-    _check_spec,
     _synthetic_blocks,
     l2_normalize_rows,
 )
@@ -80,10 +79,6 @@ class BoundCheck:
     H_value: float
     bound_value: float
     gap: float
-    tight_at_kkt: bool
-    # largest step-to-step increase of |gap| along the temperature sweep
-    # (negative when the gap shrinks at every step)
-    gap_rise: float
 
 
 @dataclass
@@ -113,12 +108,14 @@ def _total(a: np.ndarray, axes: int = 2):
     return float(s) if s.ndim == 0 else s
 
 
-def _largest_rises(series: np.ndarray) -> list[float]:
-    """Largest step-to-step increase along the first axis of ``series``
-    (steps x instances), per instance, folded with Python's ``max`` in step
-    order as a list of values would be (-inf with fewer than two steps)."""
-    return [max(column, default=-np.inf)
-            for column in (series[1:] - series[:-1]).T.tolist()]
+def _rises(series: np.ndarray, slack: float) -> tuple[np.ndarray, list[float]]:
+    """Whether ``series`` (steps x instances) never rises by more than
+    ``slack`` from one step to the next, per instance, and its largest
+    step-to-step increase, folded with Python's ``max`` in step order as a
+    list of values would be (-inf with fewer than two steps)."""
+    ok = np.all(series[1:] <= series[:-1] + slack, axis=0)
+    return ok, [max(column, default=-np.inf)
+                for column in (series[1:] - series[:-1]).T.tolist()]
 
 
 def transformed_query_features(episode: Episode, W: np.ndarray) -> np.ndarray:
@@ -244,15 +241,21 @@ def barrier_value(q_rows: np.ndarray, tau: float):
     return (tau / 2.0) * _total(_xlogx(q_rows))
 
 
+def gap_terms(d2: np.ndarray, taus: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The clustering term H and the barrier at the closed-form (softmax)
+    assignments, for each temperature in ``taus`` and each stacked
+    instance's distances, each shaped (len(taus), B). There J equals H, so
+    the bound is H + barrier and the gap is the barrier."""
+    qs = [_check_simplex(_soft_rows(d2, tau)) for tau in taus]
+    return (np.array([_j_value(d2, q) for q in qs]),
+            np.array([barrier_value(q, tau) for q, tau in zip(qs, taus)]))
+
+
 def _sweep_gaps(d2: np.ndarray, sweep: tuple[float, ...]) -> tuple[np.ndarray, list[float]]:
     """Whether the bound gap at the softmax assignments shrinks in magnitude
     along ``sweep`` (to 1e-12), and its largest step-to-step increase, for
-    a stack of instances' distances. At the softmax assignments J equals the
-    clustering term, so the gap reduces to the barrier."""
-    gaps = np.array([np.abs(barrier_value(_soft_rows(d2, t), t)) for t in sweep])
-    gaps = gaps.reshape(len(sweep), d2.shape[0])
-    tight = np.all(gaps[1:] <= gaps[:-1] + 1e-12, axis=0)
-    return tight, _largest_rises(gaps)
+    a stack of instances' distances."""
+    return _rises(np.abs(gap_terms(d2, sweep)[1]), 1e-12)
 
 
 def bound_check(
@@ -266,10 +269,7 @@ def bound_check(
     clustering term.
 
     Gaps are reported as data, not asserted: the bound is only approximate
-    at finite temperature. ``tight_at_kkt`` records whether the gap at the
-    softmax assignments shrinks monotonically in magnitude along
-    :data:`TAU_SWEEP`; ``gap_rise`` is the largest step-to-step increase
-    of that magnitude. ``assignments`` are (n, C) simplex rows.
+    at finite temperature. ``assignments`` are (n, C) simplex rows.
     """
     q = _check_simplex(np.asarray(assignments, dtype=np.float64))
     d2 = _d2(episode.query_vectors, W, prototypes)
@@ -277,9 +277,7 @@ def bound_check(
         raise ValueError("dimension mismatch between features, prototypes, assignments")
     H = _j_value(d2, _soft_rows(d2, tau))
     bound = _j_value(d2, q) + barrier_value(q, tau)
-    tight, rise = _sweep_gaps(d2[None], TAU_SWEEP)
-    return BoundCheck(H_value=H, bound_value=bound, gap=bound - H,
-                      tight_at_kkt=bool(tight[0]), gap_rise=rise[0])
+    return BoundCheck(H_value=H, bound_value=bound, gap=bound - H)
 
 
 def project_simplex_rows(V: np.ndarray) -> np.ndarray:
@@ -534,7 +532,6 @@ def make_random_instances(
         relevant_dims=min(dim, num_classes),
         queries_per_class=queries_per_class,
     )
-    _check_spec(spec)
     seeds = list(seeds)
     B, C, n = len(seeds), num_classes, num_classes * queries_per_class
     blocks = np.empty((B, C, 1 + queries_per_class, dim))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +40,6 @@ from .features import (
     sample_episode,
     SyntheticTaskSpec,
     _check_heldout,
-    _check_spec,
     generate_synthetic_episode,
     write_feature_bank,
 )
@@ -63,7 +61,7 @@ class SyntheticSource:
 
     def __post_init__(self) -> None:
         # parameters that cannot form a task are rejected when the source is made
-        _check_spec(SyntheticTaskSpec(**dataclasses.asdict(self)))
+        SyntheticTaskSpec(**dataclasses.asdict(self))
 
     def episode(self, seed: int) -> Episode:
         return generate_synthetic_episode(
@@ -202,8 +200,8 @@ def _run_campaign(
     each variant, and each variant's solve seconds, folded from the records
     of every part. With more than one worker, the pool gets ``workers``
     contiguous runs of near-equal length (fewer when there are fewer
-    episodes); a run that a dying pool worker takes down is a run of failed
-    episodes."""
+    episodes), and one process per run; a run that a dying pool worker
+    takes down is a run of failed episodes."""
     seeds = range(base_seed, base_seed + episodes)
     parts = min(episodes, workers) if workers > 1 else 1
     jobs = [(source, config, variants, seeds[k * episodes // parts:(k + 1) * episodes // parts])
@@ -215,7 +213,7 @@ def _run_campaign(
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [pool.submit(_run_part, job) for job in jobs]
             results = []
             for job, future in zip(jobs, futures):
@@ -386,31 +384,17 @@ class CompareReport:
 
 
 def _paired_stats(name_a, rep_a, name_b, rep_b) -> PairedStats:
-    diffs = []
-    wins = losses = ties = 0
-    for oa, ob in zip(rep_a.per_episode, rep_b.per_episode):
-        if oa.seed != ob.seed:
-            raise RuntimeError("paired comparison lost seed alignment")
-        if oa.failure_flag or ob.failure_flag:
-            continue
-        d = oa.accuracy - ob.accuracy
-        diffs.append(d)
-        if d > 0:
-            wins += 1
-        elif d < 0:
-            losses += 1
-        else:
-            ties += 1
+    """Accuracy differences a - b over the episodes where neither failed."""
+    pairs = list(zip(rep_a.per_episode, rep_b.per_episode))
+    if any(oa.seed != ob.seed for oa, ob in pairs):
+        raise RuntimeError("paired comparison lost seed alignment")
+    diffs = [oa.accuracy - ob.accuracy for oa, ob in pairs
+             if not (oa.failure_flag or ob.failure_flag)]
     mean, ci = _mean_ci(diffs)
-    return PairedStats(
-        pair=f"{name_a}-{name_b}",
-        n=len(diffs),
-        mean_diff=mean,
-        ci95_halfwidth=ci,
-        wins=wins,
-        losses=losses,
-        ties=ties,
-    )
+    wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+    return PairedStats(pair=f"{name_a}-{name_b}", n=len(diffs), mean_diff=mean,
+                       ci95_halfwidth=ci, wins=wins, losses=losses,
+                       ties=len(diffs) - wins - losses)
 
 
 def compare(
@@ -491,14 +475,14 @@ def _instance_stacks(instances: int, first_seed: int, num_classes: int = 5,
 
 def _tally(name: str, check, instances: int, first_seed: int, share: float,
            detail: str, **shape) -> PropertyResult:
-    """Runs ``check(stack) -> (values, oks)``, one value and one verdict per
+    """Runs ``check(stack) -> (oks, values)``, one verdict and one value per
     instance, on stacks of the seeded instances first_seed, first_seed + 1,
     ... of the given shape; the property holds when at least ``share`` of
     the instances are ok, and ``detail`` formats the largest value, folded
     with Python's ``max`` in seed order."""
     passed, worst = 0, None
     for stack in _instance_stacks(instances, first_seed, **shape):
-        values, oks = check(stack)
+        oks, values = check(stack)
         for value, ok in zip(np.asarray(values).tolist(), np.asarray(oks).tolist()):
             passed += ok
             worst = value if worst is None else max(worst, value)
@@ -518,7 +502,7 @@ def decomposition_property(instances: int, first_seed: int) -> PropertyResult:
     on every instance; the detail is the worst residual."""
     def check(stack):
         r = analysis._decompose(_query_d2(stack), 15.0)[3]
-        return r, r <= 1e-10
+        return r <= 1e-10, r
     return _tally("decomposition identity (rel residual <= 1e-10)",
                   check, instances, first_seed, 1.0, "worst {:.2e}")
 
@@ -532,7 +516,7 @@ def kkt_property(instances: int, first_seed: int) -> PropertyResult:
         closed = analysis._check_simplex(analysis._soft_rows(d2, 0.01))
         numeric = analysis.minimize_soft_assignment_rows(d2, tau=0.01)
         dev = np.max(np.abs(closed - numeric), axis=(1, 2))
-        return dev, dev <= 1e-6
+        return dev <= 1e-6, dev
     return _tally("closed-form soft assignments vs projected-gradient oracle (<= 1e-6)",
                   check, instances, first_seed, 1.0, "worst {:.2e}")
 
@@ -548,12 +532,12 @@ def lloyd_property(instances: int, first_seed: int) -> PropertyResult:
         targets = _brute_force_best_j(analysis.norm_induced_map(stack.query, W), 2).tolist()
         gaps, oks = [], []
         for trace, target in zip(traces, targets):
-            values = [v for _, v in trace]
-            monotone = all(values[k + 1] <= values[k] + 1e-9 for k in range(len(values) - 1))
-            gap = abs(values[-1] - target)
+            values = np.array([[v] for _, v in trace])
+            monotone = analysis._rises(values, 1e-9)[0][0]
+            gap = abs(values[-1, 0] - target)
             gaps.append(gap)
             oks.append(monotone and gap <= 1e-9 * max(1.0, target))
-        return gaps, oks
+        return oks, gaps
     # micro instances are well separated so the support-derived start lands
     # in the optimum's Lloyd basin (loose clouds have true local minima
     # unreachable by any single-start Lloyd run)
@@ -571,9 +555,7 @@ def mm_property(instances: int, first_seed: int) -> PropertyResult:
         d2 = _query_d2(stack)
         h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
         trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5)
-        series = np.array([h0] + [h for h, _ in trace])
-        ok = np.all(series[1:] <= series[:-1] + 1e-6, axis=0)
-        return analysis._largest_rises(series), ok
+        return analysis._rises(np.array([h0] + [h for h, _ in trace]), 1e-6)
     return _tally("majorize-minimize descent at tau=1e-3 (>= 99% of instances)",
                   check, instances, first_seed, 0.99, "largest rise {:+.2e}")
 
@@ -583,10 +565,7 @@ def sweep_property(instances: int, first_seed: int) -> PropertyResult:
     the temperature sweep on at least 95% of instances; the detail is the
     largest step-to-step rise of the gap."""
     def check(stack):
-        d2 = _query_d2(stack)
-        analysis._check_simplex(analysis._soft_rows(d2, 1.0))
-        tight, rise = analysis._sweep_gaps(d2, analysis.TAU_SWEEP)
-        return rise, tight
+        return analysis._sweep_gaps(_query_d2(stack), analysis.TAU_SWEEP)
     return _tally("gap at closed-form assignments shrinks across tau sweep (>= 95%)",
                   check, instances, first_seed, 0.95, "largest gap rise {:+.2e}")
 
@@ -635,20 +614,13 @@ def write_gap_trace(
     """Emit the per-instance, per-temperature gap table as CSV."""
     lines = ["instance_id,tau,H,bound,gap"]
     i = 0
+    names = [repr(float(tau)) for tau in taus]
     for stack in _instance_stacks(instances, base_seed):
-        d2 = _query_d2(stack)
-        per_tau = []
-        for tau in taus:
-            # at the closed-form assignments q, H is J(q) and the bound is
-            # J(q) plus the barrier
-            q = analysis._check_simplex(analysis._soft_rows(d2, tau))
-            H = analysis._j_value(d2, q)
-            bound = H + analysis.barrier_value(q, tau)
-            per_tau.append((repr(float(tau)), H.tolist(), bound.tolist(),
-                            (bound - H).tolist()))
-        for b in range(len(stack)):
-            lines.extend(f"{i},{t},{repr(hs[b])},{repr(bounds[b])},{repr(gaps[b])}"
-                         for t, hs, bounds, gaps in per_tau)
+        H, barrier = analysis.gap_terms(_query_d2(stack), taus)
+        bound = H + barrier
+        # one row per instance: its values at each temperature
+        for row in zip(H.T.tolist(), bound.T.tolist(), (bound - H).T.tolist()):
+            lines.extend(f"{i},{t},{h!r},{b!r},{g!r}" for t, h, b, g in zip(names, *row))
             i += 1
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -708,10 +680,6 @@ def export_embeddings(
     after = class_separation_ratio(z[-nq:], episode.query_hidden_labels)
     accuracy = float(np.mean(result.predictions == episode.query_hidden_labels))
     return ExportResult(paths, before, after, accuracy)
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def write_json(payload: dict, path: str | Path) -> None:

@@ -79,7 +79,13 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     for opt, action in parser._option_string_actions.items():
         if opt.startswith("--"):
             actions[opt[2:]] = action
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"--config {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        parser.error(f"--config {path}: not UTF-8 text")
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -179,7 +185,7 @@ def _cmd_evaluate(args, parser) -> int:
     config = _tim_config(args, parser)
     out = _out_path(args.out or "eval_report.json")
     report = bench.evaluate(_source(args, parser), config, args.episodes, args.seed,
-                            args.workers or bench.default_workers())
+                            args.workers or os.cpu_count() or 1)
     bench.write_json(report.to_json_dict(), out)
     print(report.table())
     print(f"wall_time_s: {report.wall_time_s:.2f}")
@@ -191,7 +197,7 @@ def _cmd_compare(args, parser) -> int:
     config = _tim_config(args, parser)
     out = _out_path(args.out or "compare_report.json")
     report = bench.compare(_source(args, parser), config, args.episodes, args.seed,
-                           args.workers or bench.default_workers())
+                           args.workers or os.cpu_count() or 1)
     bench.write_json(report.to_json_dict(), out)
     print(report.table())
     print(f"report written to {out}")

@@ -2,12 +2,12 @@
 
 Feature banks live on disk as a small text table: one header line
 ``d=<dim> n=<rows>`` followed by ``n`` lines of ``<class_id>,<f1>,...,<fd>``,
-ASCII only, with an integer class id, ``float()``-style decimal fields, LF
-line endings and no padding. A load parses the records in one pass and,
-when that pass fails, names the first bad line. Floats are written with the
-shortest round-tripping decimal form, so
-``write_feature_bank(load_feature_bank(path)) == path`` byte for byte on
-canonical files.
+ASCII only, with a non-negative integer class id that int64 holds,
+``float()``-style decimal fields, LF line endings and no padding. A load
+parses the records in one pass and, when that pass fails, names the first
+bad line. Floats are written with the shortest round-tripping decimal
+form, so ``write_feature_bank(load_feature_bank(path)) == path`` byte for
+byte on canonical files.
 
 Everything downstream consumes :class:`Episode` objects produced here. An
 episode's query labels are hidden: solvers read their inputs through
@@ -145,8 +145,8 @@ def _class_ids(data: bytes, pos: int, n: int) -> np.ndarray:
 
 def _raise_first_bad_record(path: Path, records: list[bytes], dim: int) -> None:
     """Raise the error of the first record that is not ``dim + 1`` fields:
-    a non-negative class id that ``int()`` reads and int64 holds, then
-    finite values that ``float()`` reads."""
+    a non-negative class id that ``int()`` reads, then finite values that
+    ``float()`` reads, then a class id that int64 holds."""
     for lineno, line in enumerate(records, start=2):
         parts, where = line.split(b","), f"{path}: line {lineno}"
         if len(parts) != dim + 1:
@@ -164,7 +164,8 @@ def _raise_first_bad_record(path: Path, records: list[bytes], dim: int) -> None:
             raise FeatureFormatError(f"{where}: non-numeric feature field") from None
         if not all(map(math.isfinite, row)):
             raise FeatureFormatError(f"{where}: non-finite feature value")
-        np.int64(cid)  # OverflowError past int64, as storing the id would raise
+        if cid > np.iinfo(np.int64).max:
+            raise FeatureFormatError(f"{where}: class id does not fit in int64")
     raise FeatureFormatError(f"{path}: the text reader rejected a valid table")
 
 
@@ -187,7 +188,10 @@ def load_feature_bank(path: str | Path) -> FeatureBank:
         raise FeatureFormatError(
             f"{path}: line 1: malformed header {head!r}, expected 'd=<int> n=<int>'"
         )
-    dim, n = int(header.group(1)), int(header.group(2))
+    try:
+        dim, n = int(header.group(1)), int(header.group(2))
+    except ValueError:  # past int()'s limit on the digits it converts
+        raise FeatureFormatError(f"{path}: line 1: header count has too many digits") from None
     if dim < 1:
         raise FeatureFormatError(f"{path}: line 1: dimension must be positive")
     _check_record_characters(path, data, start)
@@ -329,6 +333,8 @@ class SyntheticTaskSpec:
     Class means sit at scaled one-hot directions inside the first
     ``relevant_dims`` coordinates; all remaining dimensions carry shared
     isotropic noise only. Identical specs produce bit-identical episodes.
+    Parameters that cannot form a task raise ValueError when the spec is
+    made.
     """
 
     num_classes: int
@@ -339,6 +345,21 @@ class SyntheticTaskSpec:
     queries_per_class: int
     heldout_per_class: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.relevant_dims < 1:
+            raise ValueError("relevant_dims must be >= 1")
+        if self.relevant_dims > self.dim:
+            raise ValueError(
+                f"relevant_dims ({self.relevant_dims}) exceeds dim ({self.dim})"
+            )
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if self.queries_per_class < 1:
+            raise ValueError("queries_per_class must be >= 1")
+        _check_heldout(self.heldout_per_class)
+        if self.intra_class_stddev < 0 or self.inter_class_separation < 0:
+            raise ValueError("stddev and separation must be non-negative")
 
 
 def _synthetic_means(spec: SyntheticTaskSpec) -> np.ndarray:
@@ -359,22 +380,6 @@ def _check_heldout(heldout_per_class: int) -> None:
         raise ValueError("heldout_per_class must be non-negative")
 
 
-def _check_spec(spec: SyntheticTaskSpec) -> None:
-    if spec.relevant_dims < 1:
-        raise ValueError("relevant_dims must be >= 1")
-    if spec.relevant_dims > spec.dim:
-        raise ValueError(
-            f"relevant_dims ({spec.relevant_dims}) exceeds dim ({spec.dim})"
-        )
-    if spec.num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if spec.queries_per_class < 1:
-        raise ValueError("queries_per_class must be >= 1")
-    _check_heldout(spec.heldout_per_class)
-    if spec.intra_class_stddev < 0 or spec.inter_class_separation < 0:
-        raise ValueError("stddev and separation must be non-negative")
-
-
 def _synthetic_blocks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> np.ndarray:
     """The task's raw vectors as (C, 1 + queries + held-out, d) class blocks:
     each block is its class's support vector, then its queries, then its
@@ -386,7 +391,6 @@ def _synthetic_blocks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> np.n
 
 def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
     """Build a reproducible synthetic episode from a :class:`SyntheticTaskSpec`."""
-    _check_spec(spec)
     blocks = _synthetic_blocks(spec, np.random.default_rng(spec.seed))
     return _episode_from_blocks(blocks, spec.queries_per_class, spec.heldout_per_class)
 

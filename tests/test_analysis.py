@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import fttim.analysis as analysis
-from fttim import (
-    Episode,
+from fttim import Episode
+from fttim.analysis import (
     InternalConsistencyError,
     alternate_kmeans,
     bound_check,
@@ -229,9 +229,14 @@ def test_bound_check_reports_tightness_flag():
     episode, W, theta = make_random_instance(11)
     q = kkt_soft_assignments(episode, W, theta, tau=1.0)
     check = bound_check(episode, W, theta, tau=1.0, assignments=q)
-    assert isinstance(check.tight_at_kkt, bool)
+    d2 = squared_distances(transformed_query_features(episode, W), theta)[None]
+    tight, _ = analysis._sweep_gaps(d2, analysis.TAU_SWEEP)
+    assert tight.dtype == bool and tight.shape == (1,)
     # gap at the softmax assignments is exactly the barrier
     assert check.gap == pytest.approx(barrier_value(q, 1.0), rel=1e-12)
+    H, barrier = analysis.gap_terms(d2, (1.0,))
+    assert H[0, 0] == pytest.approx(check.H_value, rel=1e-12)
+    assert barrier[0, 0] == pytest.approx(check.gap, rel=1e-12)
 
 
 # --- alternating minimization ----------------------------------------------

@@ -195,6 +195,12 @@ def _unusable_bank(tmp_path, case):
     if case == "impossible_dim":
         path.write_bytes(b"d=1000000000000 n=1\n0,1.0\n")
         return path, "line 2: expected 1000000000001 fields, got 2"
+    if case == "class_id_past_int64":
+        path.write_bytes(b"d=2 n=1\n9223372036854775808,1.0,2.0\n")
+        return path, "line 2: class id does not fit in int64"
+    if case == "header_digits":
+        path.write_bytes(b"d=1" + b"0" * 5000 + b" n=1\n0,1.0\n")
+        return path, "line 1: header count has too many digits"
     if case == "too_few_classes":
         write_feature_bank(FeatureBank(dim=2, class_ids=np.repeat([0, 1], 20),
                                        vectors=np.ones((40, 2))), path)
@@ -203,7 +209,8 @@ def _unusable_bank(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["missing", "malformed", "too_few_classes", "not_utf8",
-                                  "not_utf8_header", "impossible_dim"])
+                                  "not_utf8_header", "impossible_dim", "class_id_past_int64",
+                                  "header_digits"])
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
 def test_unusable_bank_is_usage_error(tmp_path, capsys, command, workers, case):
@@ -351,10 +358,6 @@ def test_package_surface_is_pinned():
         "init_transform", "norm_induced_map",
         "EpisodeFailure", "LossTerms", "RunResult", "SolverState", "TimConfig", "posteriors",
         "predict_features", "run_ft_tim", "tim_gradients", "tim_loss",
-        "BoundCheck", "InternalConsistencyError", "KMeansResult", "ObjectiveBreakdown",
-        "alternate_kmeans", "bound_check", "clustering_term", "entropy_decomposition",
-        "kkt_soft_assignments", "make_random_instance", "minimize_soft_assignment_rows",
-        "mm_iteration", "project_simplex_rows", "soft_assignment_objective",
         "BankSource", "CompareReport", "EvalReport", "SyntheticSource", "compare", "evaluate",
         "export_embeddings", "run_theory_suite",
     ]
@@ -362,6 +365,8 @@ def test_package_surface_is_pinned():
     names = [name for name, value in vars(fttim).items()
              if not name.startswith("_") and not inspect.ismodule(value)]
     assert sorted(names) == sorted(expected)
+    # the analysis toolkit is reached through its module
+    assert callable(fttim.analysis.bound_check)
 
 
 def _small_bank(path, seed):
@@ -420,6 +425,22 @@ def test_config_file_merging_and_flag_priority(tmp_path):
     assert payload["config_echo"]["tim"]["iterations"] == 40
     assert payload["config_echo"]["tim"]["transform_start"] == 10
     assert payload["config_echo"]["base_seed"] == 99
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, case):
+    cfg = tmp_path / "run.cfg"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"episodes=3\n# caf\xe9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(_fast_args(extra=["--config", str(cfg)]))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    reason = "Is a directory" if case == "directory" else "not UTF-8 text"
+    assert err.splitlines()[-1] == f"fttim evaluate: error: --config {cfg}: {reason}"
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -532,6 +553,37 @@ def test_dead_pool_worker_flags_its_part_and_the_report_is_written(tmp_path, mon
     # the first part either finished before the pool broke or went down with it
     assert all(o.error == "" or o.error.startswith("worker died: ")
                for o in report.per_episode[:2])
+
+
+@pytest.mark.parametrize("episodes,workers,processes", [(2, 64, 2), (5, 3, 3)])
+def test_pool_has_one_process_per_part(monkeypatch, episodes, workers, processes):
+    # a fork pool starts all max_workers processes at its first submit, so
+    # the pool is sized to its parts; the fake pool runs them in-process
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    source = bench.SyntheticSource(dim=8, relevant_dims=3, queries_per_class=2)
+    outcomes, _ = bench._run_campaign(source, TimConfig(iterations=4, transform_start=2),
+                                      ("ft_tim",), episodes, 0, workers)
+    assert sizes == [processes]
+    assert [o.seed for o in outcomes["ft_tim"]] == list(range(episodes))
+    assert not any(o.failure_flag for o in outcomes["ft_tim"])
 
 
 def test_report_tables_format_missing_values_as_na():

@@ -243,11 +243,10 @@ def test_synthetic_reproducible_bit_identical():
 
 
 def test_synthetic_relevant_dims_exceeds_dim():
-    spec = SyntheticTaskSpec(num_classes=3, dim=4, intra_class_stddev=0.3,
-                             inter_class_separation=1.0, relevant_dims=5,
-                             queries_per_class=2, seed=0)
     with pytest.raises(ValueError, match="relevant_dims"):
-        generate_synthetic_episode(spec)
+        SyntheticTaskSpec(num_classes=3, dim=4, intra_class_stddev=0.3,
+                          inter_class_separation=1.0, relevant_dims=5,
+                          queries_per_class=2, seed=0)
 
 
 def test_synthetic_mean_separation_is_exact():

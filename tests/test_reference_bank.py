@@ -7,6 +7,15 @@ the same bank, bit for bit, or raise the same exception with the same
 message. The reference decodes the file as UTF-8 first, so on a file that
 is not UTF-8 it is run on the file with each invalid byte sequence
 replaced by U+FFFD, which the loader must report at the same line.
+
+The loader differs from the one it replaced on purpose in two places,
+and the reference below carries both differences (marked where they are):
+
+* a class id past int64 is a line-numbered FeatureFormatError, where the
+  replaced loader let an OverflowError through when it stored the id;
+* a header count of more digits than ``int()`` converts (4,300) is a
+  line-1 FeatureFormatError, where the replaced loader let ``int()``'s
+  ValueError through.
 """
 
 import math
@@ -62,7 +71,10 @@ def _reference_load(path):
         raise FeatureFormatError(
             f"{path}: line 1: malformed header {lines[0]!r}, expected 'd=<int> n=<int>'"
         )
-    dim, n = int(header.group(1)), int(header.group(2))
+    try:
+        dim, n = int(header.group(1)), int(header.group(2))
+    except ValueError:  # deliberate difference: the replaced loader raised this
+        raise FeatureFormatError(f"{path}: line 1: header count has too many digits") from None
     if dim < 1:
         raise FeatureFormatError(f"{path}: line 1: dimension must be positive")
     _check_record_characters(path, text)
@@ -99,6 +111,10 @@ def _reference_load(path):
         if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise FeatureFormatError(
                 f"{path}: line {lineno}: non-finite feature value"
+            )
+        if cid >= 2**63:  # deliberate difference: storing it raised OverflowError
+            raise FeatureFormatError(
+                f"{path}: line {lineno}: class id does not fit in int64"
             )
         class_ids[i] = cid
         vectors[i] = row
@@ -214,6 +230,8 @@ def test_loader_agrees_with_the_reference(text, corruptions):
     "d=1 n=2\n9223372036854775808,1.0\n0,nan\n",
     # negative and too large for int64
     "d=1 n=1\n-9223372036854775809,1.0\n",
+    # a header count of more digits than int() converts
+    pytest.param("d=1" + "0" * 5000 + " n=1\n0,1.0\n", id="header_digits"),
 ])
 def test_the_first_error_is_the_reference_first_error(tmp_path, text):
     _assert_loads_like_the_reference(tmp_path / "bank.csv", text.encode())

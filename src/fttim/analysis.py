@@ -307,17 +307,18 @@ def minimize_soft_assignment_rows(d2: np.ndarray, tau: float) -> np.ndarray:
     d = d2.reshape((-1,) + d2.shape[-2:])
     out = np.full(d.shape, 1.0 / d.shape[-1])
     live, q, prev = np.arange(len(d)), out, np.full(len(d), np.inf)
+    half_d = (tau / 2.0) * d  # the gradient's constant part
     for _ in range(50000):
         if not live.size:
             break
-        grad = (tau / 2.0) * d + np.log(np.maximum(q, 1e-16)) + 1.0
+        grad = half_d + np.log(np.maximum(q, 1e-16)) + 1.0
         q = project_simplex_rows(q - 0.1 * grad)
         val = soft_assignment_objective(d, q, tau)
         # fmax(1, x) is Python's max(1.0, x), NaN included
         done = np.abs(prev - val) <= 1e-15 * np.fmax(1.0, np.abs(val))
         if done.any():
             out[live[done]] = q[done]
-            live, q, d, val = live[~done], q[~done], d[~done], val[~done]
+            live, q, d, half_d, val = (a[~done] for a in (live, q, d, half_d, val))
         prev = val
     out[live] = q
     return out.reshape(d2.shape)
@@ -337,19 +338,15 @@ def _means_update(
     return np.divide(q_rows.swapaxes(-1, -2) @ F, mass, out=prev.copy(), where=mass > 0)
 
 
-def _w_steps(
-    X: np.ndarray,
-    W: np.ndarray,
-    theta: np.ndarray,
-    q_rows: np.ndarray,
-    lr: float,
-    steps: int,
-) -> np.ndarray:
-    # gradient steps on J through the solver's backward helper; with simplex
-    # rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)
-    for _ in range(steps):
-        grad_raw = 2.0 * (norm_induced_map(X, W) - q_rows @ theta)
-        W = W - lr * _grad_w(grad_raw, X, W, True)
+def _w_steps(X: np.ndarray, W: np.ndarray, F: np.ndarray, theta: np.ndarray,
+             q_rows: np.ndarray, lr: float, steps: int) -> np.ndarray:
+    """W after gradient steps on J through the solver's backward helper,
+    from X's map F under W; X is mapped again only once W has moved. With
+    simplex rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)."""
+    for k in range(steps):
+        if k:
+            F = norm_induced_map(X, W)
+        W = W - lr * _grad_w(2.0 * (F - q_rows @ theta), X, W, True)
     return W
 
 
@@ -390,42 +387,45 @@ def alternate_kmeans(
          else np.asarray(init_W, dtype=np.float64))
     theta = (norm_induced_map(episode.support_vectors, W) if init_prototypes is None
              else np.asarray(init_prototypes, dtype=np.float64))
-    W, theta, q, traces = _alternate(episode.query_vectors[None], W[None], theta[None],
+    X, W = episode.query_vectors[None], W[None]
+    W, theta, q, traces = _alternate(X, W, norm_induced_map(X, W), theta[None],
                                      max_rounds, w_steps_per_round, lr_w)
     return KMeansResult(W[0], theta[0], q[0], traces[0])
 
 
 def _alternate(
-    X: np.ndarray, W: np.ndarray, theta: np.ndarray, max_rounds: int,
+    X: np.ndarray, W: np.ndarray, F: np.ndarray, theta: np.ndarray, max_rounds: int,
     w_steps_per_round: int, lr_w: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[tuple[str, float]]]]:
-    """The rounds of :func:`alternate_kmeans` on a stack of instances:
-    queries X (B, n, d), transforms W (B, d, d) and prototypes theta
-    (B, C, d), which are not changed. Each instance stops on its own, so
-    its final W, prototypes and hard rows (B, n, C), and its trace, are the
-    same, bit for bit, in a stack of any size."""
+    """The rounds of :func:`alternate_kmeans` on a stack of queries X
+    (B, n, d), their map F under transforms W (B, d, d) and prototypes theta
+    (B, C, d), none changed; a round's last distances, and F until W moves,
+    open the next. Each instance stops on its own, so its final W,
+    prototypes, hard rows (B, n, C) and trace are the same in any stack."""
     W_out, theta_out = W.copy(), theta.copy()
     q_out = np.zeros(X.shape[:2] + theta.shape[1:2])
     traces: list[list[tuple[str, float]]] = [[] for _ in range(len(X))]
     w_step = w_steps_per_round > 0 and lr_w > 0
     names = ("assign", "means", "w_step")[:3 if w_step else 2]
     live, q, j_round_end = np.arange(len(X)), None, None
+    d2 = squared_distances(F, theta)
     for r in range(max_rounds):
         if not live.size:
             break
-        F = norm_induced_map(X, W)
-        d2 = squared_distances(F, theta)
         q_before, q = q, _hard_assign_rows(d2)
         j_assign = _j_value(d2, q)
         if r:
             _assert_nonincreasing(_j_value(d2, q_before), j_assign, "assignment step")
         theta = _means_update(F, q, theta)
-        j_means = _j_value(squared_distances(F, theta), q)
+        d2 = squared_distances(F, theta)
+        j_means = _j_value(d2, q)
         _assert_nonincreasing(j_assign, j_means, "means step")
         values = [j_assign, j_means]
         if w_step:
-            W = _w_steps(X, W, theta, q, lr_w, w_steps_per_round)
-            values.append(_j_value(_d2(X, W, theta), q))
+            W = _w_steps(X, W, F, theta, q, lr_w, w_steps_per_round)
+            F = norm_induced_map(X, W)
+            d2 = squared_distances(F, theta)
+            values.append(_j_value(d2, q))
         j_end = values[-1]
         for b, row in zip(live.tolist(), zip(*(v.tolist() for v in values))):
             traces[b].extend(zip(names, row))
@@ -435,7 +435,8 @@ def _alternate(
         if done.any():
             stopped = live[done]
             W_out[stopped], theta_out[stopped], q_out[stopped] = W[done], theta[done], q[done]
-            live, X, W, theta, q, j_end = (a[~done] for a in (live, X, W, theta, q, j_end))
+            live, X, W, F, theta, q, d2, j_end = (
+                a[~done] for a in (live, X, W, F, theta, q, d2, j_end))
         j_round_end = j_end
     return W_out, theta_out, q_out, traces
 
@@ -454,24 +455,26 @@ def mm_iteration(
     (one gradient step at 0.005). Returns one (H_value, bound_value) pair
     per round, evaluated after the round's updates.
     """
-    return _mm_trace(episode.query_vectors, np.asarray(init_W, dtype=np.float64),
-                     np.asarray(init_prototypes, dtype=np.float64), tau, rounds)
+    X, W = episode.query_vectors, np.asarray(init_W, dtype=np.float64)
+    F, theta = norm_induced_map(X, W), np.asarray(init_prototypes, dtype=np.float64)
+    return _mm_trace(X, W, F, theta, squared_distances(F, theta), tau, rounds)
 
 
 def _mm_trace(
-    X: np.ndarray, W: np.ndarray, theta: np.ndarray, tau: float, rounds: int,
+    X: np.ndarray, W: np.ndarray, F: np.ndarray, theta: np.ndarray, d2: np.ndarray,
+    tau: float, rounds: int,
 ) -> list[tuple]:
-    """The rounds of :func:`mm_iteration` from queries X, a transform W and
-    prototypes theta, for one instance (float pairs) or a stack of them
-    (pairs of per-instance arrays). W and theta are not changed."""
+    """The rounds of :func:`mm_iteration` from queries X, their map F under
+    W and its distances d2 to theta, for one instance (float pairs) or a
+    stack (pairs of arrays); none is changed. A round maps and computes
+    distances once, after its W step, and the next round starts there."""
     trace = []
     for _ in range(rounds):
-        F = norm_induced_map(X, W)
-        d2 = squared_distances(F, theta)
         q = _soft_rows(d2, tau)
         theta = _means_update(F, q, theta)
-        W = _w_steps(X, W, theta, q, _LR_W, 1)
-        d2 = _d2(X, W, theta)
+        W = _w_steps(X, W, F, theta, q, _LR_W, 1)
+        F = norm_induced_map(X, W)
+        d2 = squared_distances(F, theta)
         h_now = _j_value(d2, _soft_rows(d2, tau))
         bound = _j_value(d2, q) + barrier_value(q, tau)
         trace.append((h_now, bound))
@@ -482,13 +485,14 @@ def _mm_trace(
 class RandomInstances:
     """A stack of B seeded random instances with the same shape: support
     (B, C, d) and query (B, n, d) unit vectors, the query labels they share
-    (n,), and each instance's transform W (B, d, d) and prototypes
-    theta (B, C, d)."""
+    (n,), and each instance's transform W (B, d, d), the queries' map
+    outputs F (B, n, d) under it, and prototypes theta (B, C, d)."""
 
     support: np.ndarray
     query: np.ndarray
     query_labels: np.ndarray
     W: np.ndarray
+    F: np.ndarray
     theta: np.ndarray
 
     def __len__(self) -> int:
@@ -520,18 +524,14 @@ def make_random_instances(
     Each episode is the synthetic episode of its seed. W is a jittered
     support gram matrix and the prototypes sit near transformed query
     positions, so instances are generic (no accidental symmetry) but on
-    the data's scale. The random draws are made per seed; everything else
-    runs on the stack, and each instance is the same, bit for bit, in a
-    stack of any size.
+    the data's scale. Each seed's normals are drawn into the stacks; the
+    rest, class means included, runs once on the stack, and each instance
+    is the same, bit for bit, in a stack of any size.
     """
-    spec = SyntheticTaskSpec(
-        num_classes=num_classes,
-        dim=dim,
-        intra_class_stddev=stddev,
-        inter_class_separation=separation,
-        relevant_dims=min(dim, num_classes),
-        queries_per_class=queries_per_class,
-    )
+    spec = SyntheticTaskSpec(num_classes=num_classes, dim=dim, intra_class_stddev=stddev,
+                             inter_class_separation=separation,
+                             relevant_dims=min(dim, num_classes),
+                             queries_per_class=queries_per_class)
     seeds = list(seeds)
     B, C, n = len(seeds), num_classes, num_classes * queries_per_class
     blocks = np.empty((B, C, 1 + queries_per_class, dim))
@@ -539,18 +539,19 @@ def make_random_instances(
     picks = np.empty((B, C), dtype=np.int64)
     noise = np.empty((B, C, dim))
     for b, seed in enumerate(seeds):
-        blocks[b] = _synthetic_blocks(spec, np.random.default_rng(seed))
+        np.random.default_rng(seed).standard_normal(out=blocks[b])
         rng = np.random.default_rng(seed + 1_000_003)
-        jitter[b] = rng.standard_normal((dim, dim))
+        rng.standard_normal(out=jitter[b])
         picks[b] = rng.choice(n, size=C, replace=False)
-        noise[b] = rng.standard_normal((C, dim))
+        rng.standard_normal(out=noise[b])
+    blocks = _synthetic_blocks(spec, blocks)
     support = l2_normalize_rows(blocks[:, :, 0])
     query = l2_normalize_rows(blocks[:, :, 1:].reshape(B, n, dim))
     W = init_transform(support) + (0.1 / np.sqrt(dim)) * jitter
     F = norm_induced_map(query, W)
     theta = np.take_along_axis(F, picks[..., None], axis=1) + 0.05 * noise
     labels = np.repeat(np.arange(C, dtype=np.int64), queries_per_class)
-    return RandomInstances(support, query, labels, W, theta)
+    return RandomInstances(support, query, labels, W, F, theta)
 
 
 def make_random_instance(

@@ -494,7 +494,7 @@ def _tally(name: str, check, instances: int, first_seed: int, share: float,
 def _query_d2(stack: analysis.RandomInstances) -> np.ndarray:
     """Squared distances from the raw transformed queries to the
     prototypes, (B, n, C)."""
-    return analysis._d2(stack.query, stack.W, stack.theta)
+    return analysis.squared_distances(stack.F, stack.theta)
 
 
 def decomposition_property(instances: int, first_seed: int) -> PropertyResult:
@@ -527,9 +527,9 @@ def lloyd_property(instances: int, first_seed: int) -> PropertyResult:
     detail is the worst gap to that optimum."""
     def check(stack):
         theta = analysis.norm_induced_map(stack.support, stack.W)
-        W, _, _, traces = analysis._alternate(stack.query, stack.W, theta,
-                                              50, 0, analysis._LR_W)
-        targets = _brute_force_best_j(analysis.norm_induced_map(stack.query, W), 2).tolist()
+        traces = analysis._alternate(stack.query, stack.W, stack.F, theta,
+                                     50, 0, analysis._LR_W)[3]
+        targets = _brute_force_best_j(stack.F, 2).tolist()  # no W steps: W has not moved
         gaps, oks = [], []
         for trace, target in zip(traces, targets):
             values = np.array([[v] for _, v in trace])
@@ -554,7 +554,7 @@ def mm_property(instances: int, first_seed: int) -> PropertyResult:
     def check(stack):
         d2 = _query_d2(stack)
         h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
-        trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 5)
+        trace = analysis._mm_trace(stack.query, stack.W, stack.F, stack.theta, d2, 1e-3, 5)
         return analysis._rises(np.array([h0] + [h for h, _ in trace]), 1e-6)
     return _tally("majorize-minimize descent at tau=1e-3 (>= 99% of instances)",
                   check, instances, first_seed, 0.99, "largest rise {:+.2e}")

@@ -112,15 +112,23 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """The seed from ``--seed`` or its config entry, else ``FTTIM_SEED``,
+    else 0. Seeds start numpy's generators, which take no negative seed, so
+    a negative one is a usage error."""
     if args.seed is not None:
+        if args.seed < 0:
+            parser.error("--seed must be non-negative")
         return args.seed
     env = os.environ.get("FTTIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            parser.error(f"FTTIM_SEED is not an integer: {env!r}")
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        parser.error(f"FTTIM_SEED is not an integer: {env!r}")
+    if seed < 0:
+        parser.error(f"FTTIM_SEED must be non-negative: {env!r}")
+    return seed
 
 
 # each source flag's lower bound, and how its message puts it

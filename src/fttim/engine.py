@@ -70,6 +70,9 @@ class TimConfig:
     variant: str = "ft_tim"
 
     def __post_init__(self) -> None:
+        for name in ("tau", "lambda_ce", "alpha_cond", "lr_theta", "lr_w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.lambda_ce < 0 or self.alpha_cond < 0:

@@ -358,6 +358,9 @@ class SyntheticTaskSpec:
         if self.queries_per_class < 1:
             raise ValueError("queries_per_class must be >= 1")
         _check_heldout(self.heldout_per_class)
+        if not (math.isfinite(self.intra_class_stddev)
+                and math.isfinite(self.inter_class_separation)):
+            raise ValueError("stddev and separation must be finite")
         if self.intra_class_stddev < 0 or self.inter_class_separation < 0:
             raise ValueError("stddev and separation must be non-negative")
 
@@ -380,18 +383,20 @@ def _check_heldout(heldout_per_class: int) -> None:
         raise ValueError("heldout_per_class must be non-negative")
 
 
-def _synthetic_blocks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> np.ndarray:
-    """The task's raw vectors as (C, 1 + queries + held-out, d) class blocks:
-    each block is its class's support vector, then its queries, then its
-    held-out vectors. One draw gives the same bits as one draw per class."""
-    per_class = 1 + spec.queries_per_class + spec.heldout_per_class
-    noise = rng.standard_normal((spec.num_classes, per_class, spec.dim))
-    return _synthetic_means(spec)[:, None, :] + spec.intra_class_stddev * noise
+def _synthetic_blocks(spec: SyntheticTaskSpec, noise: np.ndarray) -> np.ndarray:
+    """The task's raw vectors as (C, 1 + queries + held-out, d) class blocks,
+    made in place from standard normals of that shape or stacks of them:
+    each block is its class's support vector, queries and held-out vectors."""
+    noise *= spec.intra_class_stddev
+    noise += _synthetic_means(spec)[:, None, :]
+    return noise
 
 
 def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
-    """Build a reproducible synthetic episode from a :class:`SyntheticTaskSpec`."""
-    blocks = _synthetic_blocks(spec, np.random.default_rng(spec.seed))
+    """Build a reproducible synthetic episode from a :class:`SyntheticTaskSpec`.
+    One draw for all classes gives the same bits as one draw per class."""
+    shape = (spec.num_classes, 1 + spec.queries_per_class + spec.heldout_per_class, spec.dim)
+    blocks = _synthetic_blocks(spec, np.random.default_rng(spec.seed).standard_normal(shape))
     return _episode_from_blocks(blocks, spec.queries_per_class, spec.heldout_per_class)
 
 

@@ -288,8 +288,8 @@ def _result_bits(W, theta, q, trace):
 
 def test_w_step_rounds_are_the_same_alone_and_in_a_stack():
     stack = analysis.make_random_instances(range(500, 507))
-    W, theta, q, traces = analysis._alternate(stack.query, stack.W, stack.theta, 100, 1,
-                                              analysis._LR_W)
+    W, theta, q, traces = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
+                                              100, 1, analysis._LR_W)
     for b in range(len(stack)):
         alone = alternate_kmeans(stack.episode(b), w_steps_per_round=1, init_W=stack.W[b],
                                  init_prototypes=stack.theta[b])
@@ -317,11 +317,12 @@ def test_rising_means_step_in_a_stack_raises_that_instance_message(monkeypatch):
                          init_W=stack.W[5])
     assert str(alone.value).startswith("means step increased the K-means objective: ")
     with pytest.raises(InternalConsistencyError) as stacked:
-        analysis._alternate(stack.query, stack.W, theta0, 50, 0, analysis._LR_W)
+        analysis._alternate(stack.query, stack.W, stack.F, theta0, 50, 0, analysis._LR_W)
     assert str(stacked.value) == str(alone.value)
     # the other instances run through
     keep = np.arange(len(stack)) != 5
-    analysis._alternate(stack.query[keep], stack.W[keep], theta0[keep], 50, 0, analysis._LR_W)
+    analysis._alternate(stack.query[keep], stack.W[keep], stack.F[keep], theta0[keep], 50, 0,
+                        analysis._LR_W)
 
 
 def test_w_step_gradient_matches_central_differences():
@@ -331,7 +332,8 @@ def test_w_step_gradient_matches_central_differences():
     for seed in range(3):
         episode, W, theta = make_random_instance(seed + 400)
         q = kkt_soft_assignments(episode, W, theta, tau=2.0)
-        grad = W - _w_steps(episode.query_vectors, W, theta, q, lr=1.0, steps=1)
+        F = transformed_query_features(episode, W)
+        grad = W - _w_steps(episode.query_vectors, W, F, theta, q, lr=1.0, steps=1)
         for idx in np.ndindex(W.shape):
             plus, minus = W.copy(), W.copy()
             plus[idx] += h

@@ -466,6 +466,75 @@ def test_tim_seed_is_not_an_option(tmp_path, capsys):
     assert "line 2: unknown key 'tim_seed'" in capsys.readouterr().err
 
 
+def _forbid_runs(monkeypatch):
+    """Make every command's work raise, so a usage error must come first."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran before its arguments were checked")
+    for name in ("evaluate", "compare", "run_theory_suite", "export_embeddings"):
+        monkeypatch.setattr(bench, name, ran)
+
+
+_COMMANDS = {
+    "evaluate": ["evaluate", "--synthetic", "--episodes", "2", "--workers", "1"],
+    "compare": ["compare", "--synthetic", "--episodes", "2", "--workers", "1"],
+    "verify-theory": ["verify-theory"],
+    "export-embeddings": ["export-embeddings", "--synthetic"],
+}
+
+
+def _usage_error(tmp_path, capsys, command, flag, value, spelling):
+    """The last stderr line of ``command`` given ``flag value`` as a flag, a
+    config entry or (for --seed) FTTIM_SEED, after checking that it is an
+    exit-2 usage error without a traceback or any output."""
+    args = [*_COMMANDS[command], "--out", str(tmp_path / "out")]
+    if spelling == "flag":
+        args += [flag, value]
+    elif spelling == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        args += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command, spelling):
+    _forbid_runs(monkeypatch)
+    if spelling == "env":
+        monkeypatch.setenv("FTTIM_SEED", "-7")
+        message = "FTTIM_SEED must be non-negative: '-7'"
+    else:
+        monkeypatch.delenv("FTTIM_SEED", raising=False)
+        message = "--seed must be non-negative"
+    assert _usage_error(tmp_path, capsys, command, "--seed", "-1", spelling) == \
+        f"fttim {command}: error: {message}"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tim-tau", "nan", "tau must be finite"),
+    ("--tim-tau", "inf", "tau must be finite"),
+    ("--tim-lambda-ce", "inf", "lambda_ce must be finite"),
+    ("--tim-alpha-cond", "nan", "alpha_cond must be finite"),
+    ("--tim-lr-theta", "inf", "lr_theta must be finite"),
+    ("--tim-lr-w", "nan", "lr_w must be finite"),
+    ("--class-stddev", "nan", "stddev and separation must be finite"),
+    ("--class-separation", "inf", "stddev and separation must be finite"),
+])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
+def test_non_finite_float_is_usage_error(tmp_path, monkeypatch, capsys, command, spelling,
+                                         flag, value, message):
+    _forbid_runs(monkeypatch)
+    assert _usage_error(tmp_path, capsys, command, flag, value, spelling) == \
+        f"fttim {command}: error: {message}"
+
+
 # --- failure propagation -----------------------------------------------------
 
 @dataclass(frozen=True)

@@ -142,6 +142,28 @@ def _lloyd(support, X, W, max_rounds=50, tol=1e-10):
     return trace
 
 
+def _lloyd_w_steps(X, W, theta, w_steps, lr, max_rounds=100, tol=1e-10):
+    """Lloyd rounds that each end with ``w_steps`` gradient steps on W:
+    the (name, value) trace, W, prototypes and hard rows of one instance."""
+    trace, j_round_end = [], None
+    for _ in range(max_rounds):
+        F = norm_induced_map(X, W)
+        d2 = _d2(F, theta)
+        q = _hard(d2)
+        trace.append(("assign", _j(d2, q)))
+        theta = _means(F, q, theta)
+        trace.append(("means", _j(_d2(F, theta), q)))
+        for _ in range(w_steps):
+            grad_raw = 2.0 * (norm_induced_map(X, W) - q @ theta)
+            W = W - lr * _grad_w(grad_raw, X, W, True)
+        j_end = _j(_d2(norm_induced_map(X, W), theta), q)
+        trace.append(("w_step", j_end))
+        if j_round_end is not None and j_round_end - j_end < tol:
+            break
+        j_round_end = j_end
+    return trace, W, theta, q
+
+
 def _brute_force(F, num_classes):
     best = np.inf
     for labels in itertools.product(range(num_classes), repeat=F.shape[0]):
@@ -288,7 +310,8 @@ def test_one_draw_equals_per_class_draws():
                                  inter_class_separation=3.0, relevant_dims=10,
                                  queries_per_class=15, heldout_per_class=heldout,
                                  seed=seed)
-        blocks = _synthetic_blocks(spec, np.random.default_rng(seed))
+        noise = np.random.default_rng(seed).standard_normal((5, 16 + heldout, 64))
+        blocks = _synthetic_blocks(spec, noise)
         expected = np.stack(_class_blocks(spec, np.random.default_rng(seed)))
         assert blocks.tobytes() == expected.tobytes()
 
@@ -301,7 +324,7 @@ def _stacked_lloyd(stack):
     """The Lloyd property's run on a stack: final W, prototypes, hard rows
     and the per-instance traces."""
     theta = norm_induced_map(stack.support, stack.W)
-    return analysis._alternate(stack.query, stack.W, theta, 50, 0, analysis._LR_W)
+    return analysis._alternate(stack.query, stack.W, stack.F, theta, 50, 0, analysis._LR_W)
 
 
 def _derived(stack, micro=False):
@@ -309,10 +332,10 @@ def _derived(stack, micro=False):
     the brute-force optimum only on micro instances, where it is cheap."""
     d2 = analysis._d2(stack.query, stack.W, stack.theta)
     tight, rise = analysis._sweep_gaps(d2, SWEEP)
-    trace = analysis._mm_trace(stack.query, stack.W, stack.theta, 1e-3, 2)
+    trace = analysis._mm_trace(stack.query, stack.W, stack.F, stack.theta, d2, 1e-3, 2)
     W, theta, q, _ = _stacked_lloyd(stack)
     brute = [bench._brute_force_best_j(norm_induced_map(stack.query, W), 2)] if micro else []
-    return [stack.support, stack.query, stack.W, stack.theta, d2,
+    return [stack.support, stack.query, stack.W, stack.F, stack.theta, d2,
             *analysis._decompose(d2, 15.0), tight, rise,
             *(v for pair in trace for v in pair),
             analysis.minimize_soft_assignment_rows(d2, 0.01), W, theta, q, *brute]
@@ -353,6 +376,24 @@ def test_stacked_lloyd_brute_force_and_oracle_equal_reference(base_seed):
             assert _bits(rows) == _bits(_oracle(_query_d2(seed), 0.01))
             seed += 1
     assert seed == base_seed + 10_100
+
+
+# W-step rates at which a stack's instances stop at different rounds, from
+# round 2 to the last: at the default rate none stops within 100 rounds
+@pytest.mark.parametrize("w_steps,lr", [(1, 0.3), (2, 0.05)])
+@pytest.mark.parametrize("base_seed", [0, 100_000, 600_000])
+def test_stacked_lloyd_with_w_steps_equals_reference(base_seed, w_steps, lr):
+    seeds = range(base_seed + 20_000, base_seed + 20_012)
+    stack = analysis.make_random_instances(seeds)
+    W, theta, q, traces = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
+                                              100, w_steps, lr)
+    assert len({len(trace) for trace in traces}) > 2
+    for b, seed in enumerate(seeds):
+        _, query, W_ref, theta_ref = _instance(seed)
+        trace, W_ref, theta_ref, q_ref = _lloyd_w_steps(query, W_ref, theta_ref, w_steps, lr)
+        # repr round-trips a float exactly, so equal reprs are equal bits
+        assert repr(traces[b]) == repr(trace)
+        assert _bits(W[b], theta[b], q[b]) == _bits(W_ref, theta_ref, q_ref)
 
 
 def test_projection_of_a_stack_equals_its_rows_and_the_reference():

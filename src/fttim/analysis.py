@@ -49,10 +49,6 @@ from .features import (
 from .features import generate_synthetic_episode  # noqa: F401
 from .transform import init_transform, norm_induced_map
 
-# Test hook: overrides the tau/2 factor on the clustering term so a
-# deliberately mis-scaled build fails the decomposition identity check.
-_CLUSTERING_SCALE_OVERRIDE: float | None = None
-
 _MONOTONE_SLACK = 1e-9
 
 # The temperatures along which bound gaps are checked and traced, falling.
@@ -186,9 +182,9 @@ def _decompose(d2: np.ndarray, tau: float) -> tuple:
     entropy = -_total(_xlogx(p))
     clustering = _j_value(d2, p)
     dispersion = _total(_logsumexp_rows(logits), axes=1)
-    scale = (tau / 2.0) if _CLUSTERING_SCALE_OVERRIDE is None else _CLUSTERING_SCALE_OVERRIDE
     # fmax(1, x) is Python's max(1.0, x), NaN included
-    residual = np.abs(entropy - (scale * clustering + dispersion)) / np.fmax(1.0, np.abs(entropy))
+    residual = (np.abs(entropy - ((tau / 2.0) * clustering + dispersion))
+                / np.fmax(1.0, np.abs(entropy)))
     return entropy, clustering, dispersion, residual
 
 

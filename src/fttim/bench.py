@@ -632,8 +632,8 @@ def write_gap_trace(
 @dataclass
 class ExportResult:
     paths: dict[str, str]
-    separation_before: float
-    separation_after: float
+    separation_before: float | None
+    separation_after: float | None
     accuracy: float
 
 
@@ -649,11 +649,11 @@ def export_embeddings(
     pipeline, the prototypes, and the per-query predictions (class id column
     is the predicted label, the 1-dim vector is the query row index).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     episode = source.episode(seed)
     result = run_ft_tim(episode, config)
     state = result.state
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     X = np.vstack([episode.support_vectors, episode.query_vectors])
     labels = np.concatenate([episode.support_labels, episode.query_hidden_labels])

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .engine import TimConfig, UPDATE_RULES, VARIANTS
-from .features import FeatureFormatError, TooFewClassesError
+from .engine import EpisodeFailure, TimConfig, UPDATE_RULES, VARIANTS
+from .features import DegenerateVectorError, FeatureFormatError, TooFewClassesError
 
 # every solver field has a --tim-* flag; the variant comes from the command
 _TIM_FIELDS = tuple(f for f in dataclasses.fields(TimConfig) if f.name != "variant")
@@ -241,11 +241,17 @@ def _cmd_export(args, parser) -> int:
     if not args.out:
         parser.error("--out directory is required for export-embeddings")
     config = _tim_config(args, parser)
-    result = bench.export_embeddings(_source(args, parser), config, args.seed, args.out)
+    # a failed episode is one usage line, with the reason a campaign flags it with
+    try:
+        result = bench.export_embeddings(_source(args, parser), config, args.seed, args.out)
+    except DegenerateVectorError as exc:
+        parser.error(f"seed {args.seed}: episode input: {exc}")
+    except EpisodeFailure as exc:
+        parser.error(f"seed {args.seed}: {exc}")
     for name, path in result.paths.items():
         print(f"{name}: {path}")
-    print(f"class separation before transform: {result.separation_before:.4f}")
-    print(f"class separation after transform:  {result.separation_after:.4f}")
+    print(f"class separation before transform: {bench._cell(result.separation_before)}")
+    print(f"class separation after transform:  {bench._cell(result.separation_after)}")
     print(f"episode accuracy: {result.accuracy:.4f}")
     return 0
 

@@ -35,7 +35,8 @@ class FeatureFormatError(ValueError):
 
 
 class DegenerateVectorError(ValueError):
-    """An operation would have to normalize a zero vector."""
+    """A vector cannot be normalized: it is zero or non-finite, or its norm
+    overflows or underflows."""
 
 
 class TooFewClassesError(ValueError):
@@ -46,17 +47,17 @@ class TooFewClassesError(ValueError):
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of a 2-D array, or of a stack of them
     along leading axes. A row that does not come out within UNIT_NORM_TOL
-    of unit norm, being zero or with a squared norm that overflows or
-    underflows, raises a DegenerateVectorError that names it."""
+    of unit norm raises a DegenerateVectorError that names it and gives one
+    of three reasons: it has a non-finite entry, it has zero norm, or its
+    squared norm overflows or underflows float64."""
     X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("matrix has non-finite entries")
     with np.errstate(all="ignore"):  # such rows are caught below
         unit = X / np.linalg.norm(X, axis=-1)[..., None]
         bad = ~(np.abs(np.linalg.norm(unit, axis=-1) - 1.0) <= UNIT_NORM_TOL)
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
-        why = ("has zero norm" if not X[first].any()
+        why = ("has a non-finite entry" if not np.isfinite(X[first]).all()
+               else "has zero norm" if not X[first].any()
                else "has a norm that overflows or underflows float64")
         raise DegenerateVectorError(f"row {first[-1]} {why}")
     return unit
@@ -248,31 +249,6 @@ class Episode:
     def num_queries(self) -> int:
         return self.query_vectors.shape[0]
 
-    def validate(self) -> None:
-        """Check the episode invariants (label coverage, unit norms, shapes)."""
-        C = self.num_classes
-        if sorted(set(int(c) for c in self.support_labels)) != list(range(C)):
-            raise ValueError("support labels must cover 0..C-1")
-        for name, arr in (
-            ("support", self.support_vectors),
-            ("query", self.query_vectors),
-            ("heldout", self.heldout_vectors),
-        ):
-            if arr is None:
-                continue
-            if arr.shape[1] != self.dim:
-                raise ValueError(f"{name} vectors have wrong dimension")
-            _check_unit_rows(name, arr)
-        for labels, n in (
-            (self.query_hidden_labels, self.query_vectors.shape[0]),
-            (self.heldout_hidden_labels,
-             None if self.heldout_vectors is None else self.heldout_vectors.shape[0]),
-        ):
-            if labels is None:
-                continue
-            if len(labels) != n or np.any(labels < 0) or np.any(labels >= C):
-                raise ValueError("hidden labels out of range")
-
 
 def sample_episode(
     bank: FeatureBank,
@@ -307,7 +283,9 @@ def _episode_from_blocks(blocks: np.ndarray, queries_per_class: int,
                          heldout_per_class: int) -> Episode:
     """The episode whose raw vectors are the (C, 1 + queries + held-out, d)
     class blocks: block c holds class c's support vector, then its queries,
-    then its held-out vectors. Every vector is unit-normalized."""
+    then its held-out vectors. Every vector is unit-normalized by
+    :func:`l2_normalize_rows`, the one check of an episode's rows: a row
+    it cannot normalize raises its DegenerateVectorError."""
     C, _, d = blocks.shape
     q = queries_per_class
     labels = np.arange(C, dtype=np.int64)
@@ -322,7 +300,6 @@ def _episode_from_blocks(blocks: np.ndarray, queries_per_class: int,
     if heldout_per_class:
         episode.heldout_vectors = l2_normalize_rows(blocks[:, 1 + q:].reshape(-1, d))
         episode.heldout_hidden_labels = np.repeat(labels, heldout_per_class)
-    episode.validate()
     return episode
 
 
@@ -387,8 +364,9 @@ def _synthetic_blocks(spec: SyntheticTaskSpec, noise: np.ndarray) -> np.ndarray:
     """The task's raw vectors as (C, 1 + queries + held-out, d) class blocks,
     made in place from standard normals of that shape or stacks of them:
     each block is its class's support vector, queries and held-out vectors."""
-    noise *= spec.intra_class_stddev
-    noise += _synthetic_means(spec)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # the row check flags such rows
+        noise *= spec.intra_class_stddev
+        noise += _synthetic_means(spec)[:, None, :]
     return noise
 
 
@@ -400,10 +378,12 @@ def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
     return _episode_from_blocks(blocks, spec.queries_per_class, spec.heldout_per_class)
 
 
-def class_separation_ratio(vectors: np.ndarray, labels: np.ndarray) -> float:
+def class_separation_ratio(vectors: np.ndarray, labels: np.ndarray) -> float | None:
     """Mean inter-class pairwise distance divided by mean intra-class distance.
 
-    Larger is better separated. Requires at least one same-class pair.
+    Larger is better separated. None when the ratio is not defined: with no
+    same-class or no cross-class pair, or with every same-class pair at
+    distance zero.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels)
@@ -413,9 +393,6 @@ def class_separation_ratio(vectors: np.ndarray, labels: np.ndarray) -> float:
     upper = np.triu(np.ones_like(same, dtype=bool), k=1)
     intra = dist[same & upper]
     inter = dist[~same & upper]
-    if intra.size == 0 or inter.size == 0:
-        raise ValueError("need both intra-class and inter-class pairs")
-    denom = float(np.mean(intra))
-    if denom == 0.0:
-        raise ValueError("intra-class distances are all zero")
+    if intra.size == 0 or inter.size == 0 or (denom := float(np.mean(intra))) == 0.0:
+        return None
     return float(np.mean(inter)) / denom

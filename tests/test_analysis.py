@@ -147,9 +147,8 @@ def test_decomposition_breakdown_fields():
     assert j == pytest.approx(b.clustering_term)
 
 
-def test_decomposition_tamper_canary(monkeypatch):
+def test_decomposition_tamper_canary(misscaled_decomposition):
     episode, W, theta = make_random_instance(5)
-    monkeypatch.setattr(analysis, "_CLUSTERING_SCALE_OVERRIDE", 1.0)
     with pytest.raises(InternalConsistencyError):
         entropy_decomposition(episode, W, theta, tau=15.0)
 

@@ -305,6 +305,34 @@ def test_bank_row_whose_norm_overflows_or_underflows_is_flagged(tmp_path, capsys
                                 r"or underflows float64", outcome.error)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_overflowing_synthetic_draw_is_flagged_at_every_worker_count(tmp_path, capsys,
+                                                                     command):
+    # at --class-stddev 1e308 the draw overflows to inf in the first support row
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"{workers}.json"
+        code = main([command, "--synthetic", "--episodes", "2", "--workers", workers,
+                     "--tim-iterations", "5", "--class-stddev", "1e308", "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        reports.append(out.read_text())
+    assert _strip_wall_time(reports[0]) == _strip_wall_time(reports[1])
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(reports[0], parse_constant=reject)
+    variants = payload["variants"].values() if command == "compare" else [payload]
+    for report in variants:
+        assert [(e["failure_flag"], e["iterations_run"]) for e in report["per_episode"]] \
+            == [(True, 0), (True, 0)]
+    outcomes = bench.run_episodes(bench.SyntheticSource(intra_class_stddev=1e308),
+                                  TimConfig(iterations=5), episodes=2, base_seed=0)
+    assert [o.error for o in outcomes] == ["episode input: row 0 has a non-finite entry"] * 2
+
+
 @pytest.mark.parametrize("make", [
     lambda path: bench.SyntheticSource(heldout_per_class=-2),
     lambda path: bench.BankSource(str(path), 5, 3, -2),
@@ -889,9 +917,7 @@ def test_theory_suite_with_one_property_reports_the_others_empty(prop):
             assert f": 0/0  (" in r.line()
 
 
-def test_verify_theory_tamper_canary_fails(capsys, monkeypatch):
-    import fttim.analysis as analysis
-    monkeypatch.setattr(analysis, "_CLUSTERING_SCALE_OVERRIDE", 1.0)
+def test_verify_theory_tamper_canary_fails(capsys, misscaled_decomposition):
     assert main(list(_SMALL_THEORY)) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -974,6 +1000,55 @@ def test_export_embeddings_round_trip(tmp_path, capsys):
     before = float(re.search(r"before transform: ([0-9.]+)", out).group(1))
     after = float(re.search(r"after transform:  ([0-9.]+)", out).group(1))
     assert after > before
+
+
+def _export_failure(tmp_path, case):
+    """(flags, source, config, reason) of an export whose one episode fails."""
+    if case == "zero_row":
+        # five classes of three records: the one episode uses every record
+        vecs = np.random.default_rng(3).standard_normal((15, 6))
+        vecs[0] = 0.0
+        path = tmp_path / "bank.csv"
+        write_feature_bank(FeatureBank(dim=6, class_ids=np.repeat(np.arange(5), 3),
+                                       vectors=vecs), path)
+        return (["--features", str(path), "--queries", "2"],
+                bench.BankSource(str(path), 5, 2, 0), TimConfig(),
+                "episode input: row 0 has zero norm")
+    if case == "overflowing_draw":
+        return (["--synthetic", "--class-stddev", "1e308"],
+                bench.SyntheticSource(intra_class_stddev=1e308), TimConfig(),
+                "episode input: row 0 has a non-finite entry")
+    return (["--synthetic", "--tim-iterations", "30", "--tim-transform-start", "5",
+             "--tim-lr-w", "1e300"],
+            bench.SyntheticSource(), TimConfig(iterations=30, transform_start=5, lr_w=1e300),
+            "iteration 6: non-finite loss")
+
+
+@pytest.mark.parametrize("case", ["zero_row", "overflowing_draw", "diverging_fit"])
+def test_export_failed_episode_is_one_line_usage_error(tmp_path, capsys, case):
+    flags, source, config, reason = _export_failure(tmp_path, case)
+    out = tmp_path / "dump"
+    with pytest.raises(SystemExit) as exc:
+        main(["export-embeddings", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == f"fttim export-embeddings: error: seed 0: {reason}"
+    assert not out.exists()
+    # the reason a campaign gives the same episode
+    (outcome,) = bench.run_episodes(source, config, episodes=1, base_seed=0)
+    assert outcome.error == reason
+
+
+@pytest.mark.parametrize("flags", [["--class-stddev", "0"], ["--queries", "1"]],
+                         ids=["no_spread", "no_same_class_pair"])
+def test_export_prints_na_for_an_undefined_separation(tmp_path, capsys, flags):
+    code = main(["export-embeddings", "--synthetic", "--tim-iterations", "20",
+                 "--tim-transform-start", "5", *flags, "--out", str(tmp_path / "dump")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "class separation before transform: n/a\n" in out
+    assert "class separation after transform:  n/a\n" in out
 
 
 def test_export_separation_improves_on_standard_suite(tmp_path):

@@ -132,6 +132,19 @@ def test_l2_normalize_zero_raises():
         l2_normalize_rows(np.zeros((1, 4)))
 
 
+@pytest.mark.parametrize("rows,reason", [
+    ([[1.0, 0.0], [0.0, 0.0]], "row 1 has zero norm"),
+    ([[1.0, 0.0], [np.nan, 1.0]], "row 1 has a non-finite entry"),
+    ([[np.inf, 0.0]], "row 0 has a non-finite entry"),
+    ([[1e200, 1e200]], "row 0 has a norm that overflows or underflows float64"),
+    ([[1e-170, 0.0]], "row 0 has a norm that overflows or underflows float64"),
+])
+def test_l2_normalize_names_the_row_and_its_reason(rows, reason):
+    with pytest.raises(DegenerateVectorError) as exc:
+        l2_normalize_rows(np.array(rows))
+    assert str(exc.value) == reason
+
+
 def test_l2_normalize_norm_property():
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -267,6 +280,12 @@ def test_class_separation_ratio_hand_case():
     labels = np.array([0, 0, 1, 1])
     ratio = class_separation_ratio(vecs, labels)
     assert ratio == pytest.approx((9 + 10 + 10 + 11) / 4.0 / 1.0)
+
+
+def test_class_separation_ratio_is_none_when_undefined():
+    vecs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    assert class_separation_ratio(vecs, np.array([0, 0, 1, 1])) is None  # intra all zero
+    assert class_separation_ratio(vecs[1:3], np.array([0, 1])) is None  # no same-class pair
 
 
 # --- property tests of the loader ----------------------------------------------

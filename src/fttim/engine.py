@@ -41,7 +41,7 @@ PROB_FLOOR = 1e-300
 # The smallest normal float64; see _too_small.
 _TINY = np.finfo(np.float64).tiny
 
-# Bytes of one stacked d x d array in a solver batch; see stack_limit.
+# Bytes of one stacked d x d array in a solver batch, and twice those of a W-step block.
 _STACK_BYTES = 1 << 19
 
 
@@ -165,19 +165,19 @@ def _degenerate_reason(norms: np.ndarray) -> str:
 
 def _normalized(
     X: np.ndarray, W: np.ndarray, variant: str,
-    x_sq: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    x_sq: np.ndarray | None = None, w_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, list[str]]:
     """(z, raw, norms, failed, reasons): the variant's map outputs for one
     episode or a stack of them, unit-normalized, with the outputs and their
     row norms. ``failed`` is None when every episode's rows can be
     normalized; otherwise it masks the leading axes (0-d for one episode),
     ``reasons`` says why for each failed episode, and the other three hold
-    only the episodes that did not fail. ``x_sq`` and ``scratch`` are passed
+    only the episodes that did not fail. ``x_sq`` and ``w_sq`` are passed
     on to :func:`norm_induced_map`."""
     if variant == "linear_transform":
         raw = X @ W.swapaxes(-1, -2)
     else:
-        raw = norm_induced_map(X, W, x_sq, scratch)
+        raw = norm_induced_map(X, W, x_sq, w_sq)
     norms = np.sqrt(np.add.reduce(raw * raw, axis=-1))
     failed, reasons = _too_small(norms), []
     if failed is not None:
@@ -211,30 +211,37 @@ def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.nd
     return theta
 
 
-def _non_finite(a: np.ndarray) -> np.ndarray | None:
-    """Per stacked episode (leading axis), whether some entry is not finite,
-    or None when every entry is."""
-    # a finite sum proves every entry finite; overflow falls to the full check
-    if math.isfinite(np.add.reduce(a, axis=None)):
+def _non_finite(a: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray | None:
+    """Per stacked episode (leading axis), whether some entry of ``a`` is not
+    finite, or None when every entry is. ``sums``, stacked the same way, may
+    pass in sums over parts of each episode's entries, such as row sums."""
+    sums = a if sums is None else sums
+    # a finite sum proves every entry it adds finite; only an episode with a
+    # non-finite or overflowing sum has its entries checked
+    if math.isfinite(np.add.reduce(sums, axis=None)):
         return None
-    finite = np.logical_and.reduce(np.isfinite(a).reshape(len(a), -1), axis=1)
-    return None if finite.all() else ~finite
+    sums_ok = np.logical_and.reduce(np.isfinite(sums).reshape(len(a), -1), axis=1)
+    bad = np.array([not ok and not np.isfinite(e).all() for ok, e in zip(sums_ok, a)])
+    return bad if bad.any() else None
 
 
 def stack_limit(dim: int) -> int:
     """Most episodes of feature dimension ``dim`` that one :class:`Batch`
     should hold: as many as keep one stacked d x d array within
-    ``_STACK_BYTES``, so the stacked transform state (W, its gradient, the
-    Adam moments and scratch) stays cache-sized. One from d = 182 up."""
+    ``_STACK_BYTES``, so the stacked transform state (W, its gradient and the
+    Adam moments) stays cache-sized. One from d = 182 up. The W step goes
+    over that state in blocks of rows of ``_STACK_BYTES // 2`` bytes each."""
     return max(1, _STACK_BYTES // (8 * dim * dim))
 
 
 class Batch:
     """The solver state of B same-shaped episodes, stacked along a leading
     axis: the features X (B, n, d) with support rows first, the prototypes
-    (B, C, d), the transform W (B, d, d), their Adam moments, the loss
-    trace and the scratch buffers, with one fused forward and backward pass
-    over them.
+    (B, C, d), the transform W (B, d, d) with its squared row norms, their
+    Adam moments, the loss trace and the gradient buffers, with one fused
+    forward and backward pass over them. The W step finishes W's gradient,
+    checks it and updates W and its row norms in one pass per block of rows
+    of the stacked (B*d, d) arrays.
 
     Every reduction runs along per-episode axes and every product is a
     stacked matmul, so each episode's slice goes through the same
@@ -263,24 +270,35 @@ class Batch:
         self.f2 = np.einsum("...ij,...ij->...i", X, X)  # squared norms of z = X when inactive
         self.onehot = np.zeros((B, ns, C))
         self.G = np.empty((B, X.shape[1], C))  # d loss / d logits, support rows first
-        self.scratch = np.empty((B, d, d))
         self.grad_W = np.empty((B, d, d))
+        self.col, self.row_sums, self.ones = np.empty((B, d)), np.empty((B, d)), np.ones((d, 1))
+        self.block_scratch = np.empty((2, min(B * d, max(1, _STACK_BYTES // 16 // d)), d))
         self.count = B
         self.pos = np.arange(B)  # input positions of the episodes still on the stack
         self.failures: dict[int, tuple[int, str]] = {}  # position: (iteration, reason)
         self.it = 0
         self.traces: list[list[tuple[float, float, float]]] = [[] for _ in range(B)]
-        self.W = self.theta = self.adam_w = self.adam_theta = None
+        self.W = self.w_sq = self.theta = self.m_w = self.v_w = self.m_theta = self.v_theta = None
         self.z = self.raw = self.norms = self.p_s = self.p_q = None
         self.logq = self.plogq = self.marginal = self.log_marginal = None
         self._index()
         self.onehot[self.picks] = 1.0
 
     def _index(self) -> None:
-        """Index arrays and buffer views that depend on the stack's size."""
+        """Index arrays and buffers that depend on the stack's size, among
+        them the W step's blocks: the same rows of grad_W, W, col, row_sums,
+        w_sq, m_w and v_w as (B*d, -1) arrays, and scratch."""
         ns, G = self.ns, self.G
         self.picks = (np.arange(len(self.pos))[:, None], np.arange(ns), self.labels)
         self.G_s, self.G_q, self.G_T = G[:, :ns], G[:, ns:], G.swapaxes(1, 2)
+        self.theta_scratch = tuple(np.empty((2, *self.onehot.shape[::2], self.X.shape[2])))
+        if self.W is None:
+            return
+        n, rows = self.W.shape[0] * self.W.shape[1], self.block_scratch.shape[1]
+        stacked = (self.grad_W, self.W, self.col, self.row_sums, self.w_sq, self.m_w, self.v_w)
+        self.blocks = [(*(None if a is None else a.reshape(n, -1)[i:i + rows] for a in stacked),
+                        *self.block_scratch[:, :min(rows, n - i)])
+                       for i in range(0, n, rows)]
 
     def start(self) -> "Batch":
         """Initial prototypes (the support class means), transform
@@ -290,12 +308,16 @@ class Batch:
         self.theta = np.stack([_init_prototypes(s, l, C) for s, l in zip(support, self.labels)])
         self.W = np.stack([init_transform(s) for s in support])
         if self.config.update_rule == "adaptive_moment":
-            self.adam_theta, self.adam_w = _Adam(self.theta.shape), _Adam(self.W.shape)
+            self.m_w, self.v_w = np.zeros_like(self.W), np.zeros_like(self.W)
+            self.m_theta, self.v_theta = np.zeros_like(self.theta), np.zeros_like(self.theta)
+        self._index()
         return self
 
+    # the solver state that a fork copies
+    _OWN = ("W", "w_sq", "theta", "m_w", "v_w", "m_theta", "v_theta")
     # stacked attributes that lose a failed episode's slice
-    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "scratch", "grad_W",
-                "pos", "W", "theta",
+    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "grad_W", "col", "row_sums",
+                "pos", *_OWN,
                 "z", "raw", "norms", "p_s", "p_q", "logq", "plogq", "marginal",
                 "log_marginal")
 
@@ -312,9 +334,6 @@ class Batch:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
-        for adam in (self.adam_w, self.adam_theta):
-            if adam is not None:
-                adam.keep(keep)
         self.traces = [t for t, k in zip(self.traces, keep) if k]
         self._index()
 
@@ -328,8 +347,11 @@ class Batch:
         if not active:
             self.z = self.X
             return posteriors(self.X, self.theta, cfg.tau, self.f2)
+        if self.w_sq is None and cfg.variant != "linear_transform":
+            self.w_sq = np.add.reduce(self.W * self.W, axis=2)  # then kept by the W step
+            self._index()
         z, raw, norms, failed, reasons = _normalized(self.X, self.W, cfg.variant,
-                                                     self.x_sq, self.scratch)
+                                                     self.x_sq, self.w_sq)
         if failed is not None:
             self._drop(failed, reasons)
         self.z, self.raw, self.norms = z, raw, norms
@@ -357,9 +379,8 @@ class Batch:
         return terms
 
     def backward(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(d loss/d theta, d loss/d W) at the last forward pass; the W
-        gradient is None when the transform was inactive. The W gradient
-        lives in a buffer that the next backward pass overwrites."""
+        """(d loss/d theta, d loss/d raw map outputs) at the last forward
+        pass; the second is None when the transform was inactive."""
         cfg, ns, nq = self.config, self.ns, self.nq
         p_q, G, z, theta = self.p_q, self.G, self.z, self.theta
         # logit gradients: support rows, then query rows
@@ -386,10 +407,27 @@ class Batch:
         grad_z -= np.add.reduce(G, axis=2)[:, :, None] * z
         grad_z *= cfg.tau
 
-        grad_raw = _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
-        return grad_theta, _grad_w(grad_raw, self.X, self.W,
-                                   cfg.variant != "linear_transform",
-                                   out=self.grad_W, scratch=self.scratch)
+        return grad_theta, _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
+
+    def _w_step(self, grad_raw: np.ndarray, t: int) -> np.ndarray | None:
+        """The ``t``-th W update, counting from 1, from d loss/d raw map
+        outputs; returns which episodes' W gradient is not finite, or None.
+        After the whole grad_raw^T X product, each block of rows gets the
+        norm-induced map's column term, its row sums, update and row norms."""
+        cfg = self.config
+        np.matmul(grad_raw.swapaxes(1, 2), self.X, out=self.grad_W)
+        norm_induced = cfg.variant != "linear_transform"
+        if norm_induced:
+            np.add.reduce(grad_raw, axis=1, out=self.col)
+        for g, w, col, sums, w_sq, m, v, s1, s2 in self.blocks:
+            if norm_induced:
+                # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
+                g -= np.multiply(col, w, out=s1)
+            np.dot(g, self.ones, out=sums)  # BLAS row sums, read only by the finiteness check
+            _step(w, g, cfg.lr_w, t, s1, s2, m, v)
+            if norm_induced:
+                np.add.reduce(np.multiply(w, w, out=s1), axis=1, out=w_sq, keepdims=True)
+        return _non_finite(self.grad_W, self.row_sums)
 
     def _pass(self) -> list[LossTerms]:
         """The forward pass at the current iteration, its loss terms in the
@@ -418,21 +456,20 @@ class Batch:
                 terms = self._pass()
                 if on_iteration is not None and terms:
                     on_iteration(self.it, self.p_q[0], terms[0])
-                grad_theta, grad_W = self.backward()
+                grad_theta, grad_raw = self.backward()
                 bad = _non_finite(grad_theta)
                 if bad is not None:
                     self._drop(bad, "non-finite prototype gradient")
                     grad_theta = grad_theta[~bad]
-                    grad_W = None if grad_W is None else grad_W[~bad]
-                if grad_W is not None:
-                    bad = _non_finite(grad_W)
+                    grad_raw = None if grad_raw is None else grad_raw[~bad]
+                if grad_raw is not None:
+                    # W updates from transform_start on, the prototypes from 0
+                    bad = self._w_step(grad_raw, self.it + 1 - cfg.transform_start)
                     if bad is not None:
                         self._drop(bad, "non-finite transform gradient")
-                        grad_theta, grad_W = grad_theta[~bad], grad_W[~bad]
-                    # W updates from transform_start on, the prototypes from 0
-                    _update(self.W, grad_W, cfg.lr_w, self.adam_w,
-                            self.it + 1 - cfg.transform_start)
-                _update(self.theta, grad_theta, cfg.lr_theta, self.adam_theta, self.it + 1)
+                        grad_theta = grad_theta[~bad]
+                _step(self.theta, grad_theta, cfg.lr_theta, self.it + 1, *self.theta_scratch,
+                      self.m_theta, self.v_theta)
                 self.it += 1
 
     def finish(self) -> list[RunResult | EpisodeFailure]:
@@ -454,17 +491,21 @@ class Batch:
 
     def fork(self, variant: str, share: bool = False) -> "Batch":
         """This stack, continued as ``variant``: a copy whose solver state
-        (prototypes, W, Adam moments, trace, failures) is its own, while the
-        constants and scratch buffers stay shared, so forks must run one
-        after another. With ``share``, the stack itself goes on instead."""
+        (prototypes, W and its row norms, Adam moments, trace, failures) is
+        its own, while the constants and the gradient and block buffers stay
+        shared, so forks must run one after another. With ``share``, the
+        stack itself goes on instead."""
         twin = self if share else copy.copy(self)
         twin.config = dataclasses.replace(self.config, variant=variant)
+        if variant == "linear_transform":
+            twin.w_sq = None  # the linear W step does not keep it
         if not share:
-            twin.theta, twin.W = self.theta.copy(), self.W.copy()
+            for name in self._OWN:
+                value = getattr(twin, name)
+                setattr(twin, name, None if value is None else value.copy())
             twin.traces = [list(t) for t in self.traces]
-            if self.adam_w is not None:
-                twin.adam_theta, twin.adam_w = self.adam_theta.copy(), self.adam_w.copy()
             twin.failures = dict(self.failures)
+        twin._index()
         return twin
 
 
@@ -483,19 +524,15 @@ def _grad_raw(
     return grad_raw
 
 
-def _grad_w(
-    grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray, norm_induced: bool,
-    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def _grad_w(grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray,
+            norm_induced: bool) -> np.ndarray:
     """Gradient w.r.t. W from the gradient w.r.t. the raw map outputs, for the
     norm-induced map or (``norm_induced=False``) the linear map X W^T, for
-    one episode or a stack of them. ``out`` and ``scratch`` may be float64
-    buffers shaped like W."""
-    grad_W = np.matmul(grad_raw.swapaxes(-1, -2), X, out=out)
+    one episode or a stack of them; the same operations as
+    :meth:`Batch._w_step`, over whole arrays."""
+    grad_W = grad_raw.swapaxes(-1, -2) @ X
     if norm_induced:
-        # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
-        col = np.add.reduce(grad_raw, axis=-2)
-        grad_W -= np.multiply(col[..., :, None], W, out=scratch)
+        grad_W -= np.add.reduce(grad_raw, axis=-2)[..., :, None] * W
     return grad_W
 
 
@@ -529,57 +566,39 @@ def tim_gradients(
         EpisodeFailure: if a gradient is not finite.
     """
     batch, _ = _at_state(episode, state, config)
-    grad_theta, grad_W = batch.backward()
-    if _non_finite(grad_theta) is not None or (grad_W is not None and _non_finite(grad_W) is not None):
+    grad_theta, grad_raw = batch.backward()
+    grad_W = np.zeros_like(batch.W) if grad_raw is None else _grad_w(
+        grad_raw, batch.X, batch.W, config.variant != "linear_transform")
+    if _non_finite(grad_theta) is not None or _non_finite(grad_W) is not None:
         raise EpisodeFailure("non-finite gradient", iteration=state.iter)
-    return grad_theta[0], np.zeros_like(state.W) if grad_W is None else grad_W[0]
+    return grad_theta[0], grad_W[0]
 
 
-class _Adam:
-    """Standard adaptive-moment updater (b1 = 0.9, b2 = 0.999, eps = 1e-8),
-    updating one array in place. The steps repeat the operations of
-    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, lr m_hat / (sqrt(v_hat) + eps)
-    in order, so results match bit for bit."""
-
-    def __init__(self, shape):
-        self.m, self.v = np.zeros(shape), np.zeros(shape)
-        self.s1, self.s2 = np.empty(shape), np.empty(shape)  # scratch
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Keep the moments of the stacked episodes that ``mask`` selects."""
-        self.m, self.v, self.s1, self.s2 = (a[mask] for a in (self.m, self.v, self.s1, self.s2))
-
-    def copy(self) -> "_Adam":
-        """Own moments, shared scratch."""
-        twin = copy.copy(self)
-        twin.m, twin.v = self.m.copy(), self.v.copy()
-        return twin
-
-    def step(self, param: np.ndarray, grad: np.ndarray, lr: float, t: int) -> None:
-        """The ``t``-th update of ``param``, counting from 1."""
-        m, v, s1, s2 = self.m, self.v, self.s1, self.s2
-        m *= 0.9
-        m += np.multiply(1 - 0.9, grad, out=s1)
-        v *= 0.999
-        np.multiply(1 - 0.999, grad, out=s1)
-        s1 *= grad
-        v += s1
-        np.divide(m, 1 - 0.9**t, out=s1)
-        s1 *= lr
-        np.divide(v, 1 - 0.999**t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += 1e-8
-        s1 /= s2
-        param -= s1
-
-
-def _update(param: np.ndarray, grad: np.ndarray, lr: float, adam: _Adam | None,
-            t: int) -> None:
-    if adam is not None:
-        adam.step(param, grad, lr, t)
-    else:
-        grad *= lr
-        param -= grad
+def _step(param: np.ndarray, grad: np.ndarray, lr: float, t: int, s1: np.ndarray,
+          s2: np.ndarray, m: np.ndarray | None = None, v: np.ndarray | None = None) -> None:
+    """The ``t``-th update of ``param`` in place, counting from 1, leaving
+    ``grad`` as it is: the standard adaptive-moment step (b1 = 0.9,
+    b2 = 0.999, eps = 1e-8) when its moments ``m`` and ``v`` are given, else
+    the plain gradient step. ``s1`` and ``s2`` are scratch shaped like
+    ``param``. The steps repeat the operations of m = b1 m + (1-b1) g,
+    v = b2 v + (1-b2) g g, lr m_hat / (sqrt(v_hat) + eps) in order, so
+    results match bit for bit."""
+    if m is None:
+        param -= np.multiply(grad, lr, out=s1)
+        return
+    m *= 0.9
+    m += np.multiply(1 - 0.9, grad, out=s1)
+    v *= 0.999
+    np.multiply(1 - 0.999, grad, out=s1)
+    s1 *= grad
+    v += s1
+    np.divide(m, 1 - 0.9**t, out=s1)
+    s1 *= lr
+    np.divide(v, 1 - 0.999**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += 1e-8
+    s1 /= s2
+    param -= s1
 
 
 def run_ft_tim(

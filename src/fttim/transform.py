@@ -23,21 +23,22 @@ def norm_induced_map(
     X: np.ndarray,
     W: np.ndarray,
     x_sq: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    w_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched map: entry (i, j) is -0.5 * ||x_i - w_j||^2, for one (X, W)
     pair or for stacks of them along leading axes.
 
     Uses the expanded dot-product form, which agrees with the direct norm
     form to float64 round-off. A caller that maps the same X many times may
-    pass its squared row norms ``x_sq`` and a float64 ``scratch`` buffer
-    shaped like W for W * W.
+    pass its squared row norms ``x_sq``, and one that keeps W's squared row
+    norms may pass them as ``w_sq``.
     """
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if x_sq is None:
         x_sq = np.add.reduce(X * X, axis=-1)
-    w_sq = np.add.reduce(np.multiply(W, W, out=scratch), axis=-1)
+    if w_sq is None:
+        w_sq = np.add.reduce(W * W, axis=-1)
     raw = X @ W.swapaxes(-1, -2)
     half = x_sq[..., :, None] + w_sq[..., None, :]
     half *= 0.5

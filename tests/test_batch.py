@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fttim.bench as bench
+import fttim.engine as engine
 from fttim import (
     DegenerateVectorError,
     Episode,
@@ -24,7 +25,8 @@ from fttim import (
 )
 from fttim.bench import SyntheticSource
 from fttim.cli import main
-from fttim.engine import UPDATE_RULES, VARIANTS, Batch, _normalized, stack_limit
+from fttim.engine import UPDATE_RULES, VARIANTS, Batch, _non_finite, _normalized, stack_limit
+from test_reference_solver import _assert_same_run, reference_run
 
 SMALL = SyntheticSource(dim=16, relevant_dims=6, queries_per_class=4)
 QUICK = TimConfig(iterations=40, transform_start=15)
@@ -146,6 +148,92 @@ def test_stack_limit_follows_dimension():
     assert stack_limit(128) == 4
     assert stack_limit(181) == 2
     assert stack_limit(182) == stack_limit(640) == 1
+
+
+# --- the W step's row blocks ------------------------------------------------------
+
+@pytest.mark.parametrize("update_rule", UPDATE_RULES)
+@pytest.mark.parametrize("variant", ["ft_tim", "linear_transform"])
+def test_many_block_w_step_matches_reference_bitwise(variant, update_rule):
+    episode = SyntheticSource(dim=640).episode(0)
+    config = TimConfig(variant=variant, update_rule=update_rule, iterations=25,
+                       transform_start=10)
+    assert len(Batch([episode], config).start().blocks) == 13  # 51 rows each
+    _assert_same_run(episode, config)
+
+
+def _reference(episode, config):
+    with np.errstate(all="ignore"):
+        try:
+            preds, W, theta, p_q, marginal, trace = reference_run(episode, config)
+        except EpisodeFailure as exc:
+            return exc
+    state = SolverState(prototypes=theta, W=W, posteriors=p_q, marginal=marginal,
+                        iter=config.iterations, loss_trace=trace)
+    return engine.RunResult(preds, state, trace)
+
+
+# (settings, outcome of each of seeds 11, 13 and 12, or None when it finishes)
+_STRADDLE_CASES = [
+    ({}, [None] * 3),
+    ({"update_rule": "plain_gradient"}, [None] * 3),
+    ({"variant": "linear_transform"}, [None] * 3),
+    ({"variant": "linear_transform", "update_rule": "plain_gradient"}, [None] * 3),
+    ({"lr_w": 1e300}, ["iteration 16: non-finite loss"] * 3),
+    ({"variant": "linear_transform", "lr_w": 1e300}, [None] * 3),
+    ({"tau": 1e100, "update_rule": "plain_gradient"},
+     [None, "iteration 16: non-finite transform gradient", None]),
+]
+
+
+@pytest.mark.parametrize("settings,outcomes", _STRADDLE_CASES)
+def test_blocks_that_straddle_episodes_match_single_runs_and_reference(
+        monkeypatch, settings, outcomes):
+    monkeypatch.setattr(engine, "_STACK_BYTES", 5 * 16 * 16)  # blocks of 5 rows at d = 16
+    episodes = [SMALL.episode(s) for s in (11, 13, 12)]
+    config = dataclasses.replace(QUICK, **settings)
+    batch = Batch(episodes, config).start()
+    assert [len(block[0]) for block in batch.blocks] == [5] * 9 + [3]
+    batch.run(config.iterations)
+    results = batch.finish()
+    assert [str(r) if isinstance(r, EpisodeFailure) else None for r in results] == outcomes
+    for got, episode in zip(results, episodes):
+        _assert_same(got, _single(episode, config))
+        _assert_same(got, _reference(episode, config))
+
+
+@pytest.mark.parametrize("case,flagged", [
+    ("finite", [False, False, False]),
+    ("row sum overflows", [False, False, False]),
+    ("total overflows", [False, False, False]),
+    ("nan", [False, True, False]),
+    ("inf", [False, True, False]),
+    ("inf pair in a row", [False, True, False]),
+    ("nan beside an overflow", [False, False, True]),
+])
+def test_row_sum_finiteness_decision_matches_isfinite(case, flagged):
+    g = np.random.default_rng(0).standard_normal((3, 4, 4))
+    if case == "row sum overflows":
+        g[1, 2, :2] = 1e308
+    elif case == "total overflows":
+        g[:, :, 0] = 1e308
+    elif case == "nan":
+        g[1, 3, 0] = np.nan
+    elif case == "inf":
+        g[1, 0, 3] = -np.inf
+    elif case == "inf pair in a row":
+        g[1, 2, 1], g[1, 2, 3] = np.inf, -np.inf
+    elif case == "nan beside an overflow":
+        g[0, 1, 1:3] = 1e308
+        g[2, 3, 3] = np.nan
+    with np.errstate(all="ignore"):
+        row_sums = g @ np.ones((4, 1))  # as the W step sums rows, through BLAS
+        bad = _non_finite(g, row_sums)
+    want = ~np.isfinite(g).all(axis=(1, 2))
+    assert want.tolist() == flagged
+    assert (bad is None) == (not want.any())
+    if bad is not None:
+        assert bad.tolist() == want.tolist()
 
 
 # --- near-zero transformed norms ---------------------------------------------------

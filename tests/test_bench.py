@@ -1,5 +1,6 @@
 """Campaign runner, report schema, CLI flags, theory harness, export."""
 
+import contextlib
 import errno
 import importlib
 import importlib.util
@@ -9,11 +10,14 @@ import json
 import os
 import re
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fttim.bench as bench
 from fttim import (
@@ -768,6 +772,58 @@ def test_abbreviated_flag_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-theory", "--decomp", "10"])
     assert exc.value.code == 2
+
+
+_FLOAT_FLAGS = ("--tim-tau", "--tim-lr-theta", "--tim-lr-w", "--tim-lambda-ce",
+                "--tim-alpha-cond", "--class-stddev", "--class-separation")
+_FINITE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-8, 1.0, 15.0, 1e8,
+                     1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["evaluate", "compare"]),
+       floats=st.dictionaries(st.sampled_from(_FLOAT_FLAGS), _FINITE))
+def test_every_finite_float_ends_in_a_report_or_a_usage_line(command, floats):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        args = [command, "--synthetic", "--dim", "8", "--relevant-dims", "3", "--queries", "2",
+                "--episodes", "2", "--workers", "1", "--tim-iterations", "6",
+                "--tim-transform-start", "2", "--out", str(out)]
+        for flag, value in floats.items():
+            args += [flag, repr(value)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+        if code == 2:
+            assert not out.exists() and stdout.getvalue() == ""
+            assert stderr.getvalue().splitlines()[-1].startswith(f"fttim {command}: error: ")
+            assert "Traceback" not in stderr.getvalue()
+            return
+        assert code in (0, 1) and stderr.getvalue() == ""
+        payload = _strict_json(out.read_text())
+    reports = payload["variants"].values() if command == "compare" else [payload]
+    failures = 0
+    for report in reports:
+        flagged = [e for e in report["per_episode"] if e["failure_flag"]]
+        assert all(e["accuracy"] is None for e in flagged)
+        assert all(e["accuracy"] is not None for e in report["per_episode"]
+                   if not e["failure_flag"])
+        failures += len(flagged)
+    assert code == (1 if failures else 0)
 
 
 # --- compare ------------------------------------------------------------------

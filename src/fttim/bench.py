@@ -11,7 +11,9 @@ count affects wall time only.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -40,6 +42,7 @@ from .features import (
     sample_episode,
     SyntheticTaskSpec,
     _check_heldout,
+    _write_atomic,
     generate_synthetic_episode,
     write_feature_bank,
 )
@@ -192,35 +195,63 @@ def _shape(episode: Episode) -> tuple:
             episode.query_vectors.shape)
 
 
+class WorkerDied(RuntimeError):
+    """A pool worker process died before its job was done."""
+
+
+class WorkerPool(contextlib.ExitStack):
+    """Runs jobs in this process, or in a process pool that is forked at the
+    first map of more than one job when ``workers`` > 1, one process per job
+    up to ``workers``, and serves every later map until the ``with`` ends."""
+
+    def __init__(self, workers: int = 1):
+        super().__init__()
+        self.workers, self._pool = workers, None
+
+    def split(self, seeds: range) -> list[range]:
+        """``seeds`` in min(workers, len(seeds)) near-equal contiguous runs, or one."""
+        n = len(seeds)
+        parts = max(1, min(self.workers, n))
+        return [seeds[k * n // parts:(k + 1) * n // parts] for k in range(parts)]
+
+    def map(self, fn, jobs: list, died=None) -> list:
+        """``[fn(job) for job in jobs]``, in job order. A job that a dying
+        pool worker takes down gives ``died(job, exc)``, or raises
+        :class:`WorkerDied` when ``died`` is None."""
+        if self.workers <= 1 or len(jobs) <= 1:
+            return [fn(job) for job in jobs]
+        # the pool machinery costs import time, so only pools import it
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self._pool is None:
+            self._pool = self.enter_context(
+                ProcessPoolExecutor(max_workers=min(self.workers, len(jobs))))
+        futures = [self._pool.submit(fn, job) for job in jobs]
+        results = []
+        for job, future in zip(jobs, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                if died is None:
+                    raise WorkerDied(str(exc)) from None
+                results.append(died(job, exc))
+        return results
+
+
 def _run_campaign(
     source, config: TimConfig, variants: tuple[str, ...], episodes: int,
     base_seed: int, workers: int,
 ) -> tuple[dict[str, list[EpisodeOutcome]], dict[str, float]]:
     """Outcomes of episodes base_seed .. base_seed+episodes-1, in order, for
     each variant, and each variant's solve seconds, folded from the records
-    of every part. With more than one worker, the pool gets ``workers``
-    contiguous runs of near-equal length (fewer when there are fewer
-    episodes), and one process per run; a run that a dying pool worker
-    takes down is a run of failed episodes."""
-    seeds = range(base_seed, base_seed + episodes)
-    parts = min(episodes, workers) if workers > 1 else 1
-    jobs = [(source, config, variants, seeds[k * episodes // parts:(k + 1) * episodes // parts])
-            for k in range(parts)]
-    if len(jobs) <= 1:
-        results = [_run_part(job) for job in jobs]
-    else:
-        # the pool machinery costs import time, so only pools import it
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(_run_part, job) for job in jobs]
-            results = []
-            for job, future in zip(jobs, futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as exc:
-                    results.append(_failed(variants, job[3], f"worker died: {exc}"))
+    of every contiguous run of seeds (see :meth:`WorkerPool.split`); a run
+    that a dying pool worker takes down is a run of failed episodes."""
+    with WorkerPool(workers) as pool:
+        jobs = [(source, config, variants, seeds)
+                for seeds in pool.split(range(base_seed, base_seed + episodes))]
+        results = pool.map(_run_part, jobs, died=lambda job, exc: _failed(
+            variants, job[3], f"worker died: {exc}"))
     outcomes: dict[str, list] = {v: [None] * episodes for v in variants}
     seconds = dict.fromkeys(variants, 0.0)
     for variant, outcome, share in itertools.chain.from_iterable(results):
@@ -473,101 +504,138 @@ def _instance_stacks(instances: int, first_seed: int, num_classes: int = 5,
             dim=dim, **shape)
 
 
-def _tally(name: str, check, instances: int, first_seed: int, share: float,
-           detail: str, **shape) -> PropertyResult:
-    """Runs ``check(stack) -> (oks, values)``, one verdict and one value per
-    instance, on stacks of the seeded instances first_seed, first_seed + 1,
-    ... of the given shape; the property holds when at least ``share`` of
-    the instances are ok, and ``detail`` formats the largest value, folded
-    with Python's ``max`` in seed order."""
-    passed, worst = 0, None
-    for stack in _instance_stacks(instances, first_seed, **shape):
-        oks, values = check(stack)
-        for value, ok in zip(np.asarray(values).tolist(), np.asarray(oks).tolist()):
-            passed += ok
-            worst = value if worst is None else max(worst, value)
-    return PropertyResult(name, passed, instances,
-                          passed >= int(np.ceil(share * instances)),
-                          detail.format(0.0 if worst is None else worst))
-
-
 def _query_d2(stack: analysis.RandomInstances) -> np.ndarray:
     """Squared distances from the raw transformed queries to the
     prototypes, (B, n, C)."""
     return analysis.squared_distances(stack.F, stack.theta)
 
 
-def decomposition_property(instances: int, first_seed: int) -> PropertyResult:
+# Each property's check takes a stack of instances to (oks, values), one
+# verdict and one value per instance. It looks up the analysis functions
+# when called, so a patched one reaches forked pool workers too.
+
+def _decomposition_check(stack):
     """Entropy decomposition identity at tau=15: relative residual <= 1e-10
     on every instance; the detail is the worst residual."""
-    def check(stack):
-        r = analysis._decompose(_query_d2(stack), 15.0)[3]
-        return r <= 1e-10, r
-    return _tally("decomposition identity (rel residual <= 1e-10)",
-                  check, instances, first_seed, 1.0, "worst {:.2e}")
+    r = analysis._decompose(_query_d2(stack), 15.0)[3]
+    return r <= 1e-10, r
 
 
-def kkt_property(instances: int, first_seed: int) -> PropertyResult:
+def _kkt_check(stack):
     """Closed-form soft assignments at tau=0.01 within 1e-6 of the
     projected-gradient oracle on every instance; the detail is the worst
     deviation."""
-    def check(stack):
-        d2 = _query_d2(stack)
-        closed = analysis._check_simplex(analysis._soft_rows(d2, 0.01))
-        numeric = analysis.minimize_soft_assignment_rows(d2, tau=0.01)
-        dev = np.max(np.abs(closed - numeric), axis=(1, 2))
-        return dev <= 1e-6, dev
-    return _tally("closed-form soft assignments vs projected-gradient oracle (<= 1e-6)",
-                  check, instances, first_seed, 1.0, "worst {:.2e}")
+    d2 = _query_d2(stack)
+    closed = analysis._check_simplex(analysis._soft_rows(d2, 0.01))
+    numeric = analysis.minimize_soft_assignment_rows(d2, tau=0.01)
+    dev = np.max(np.abs(closed - numeric), axis=(1, 2))
+    return dev <= 1e-6, dev
 
 
-def lloyd_property(instances: int, first_seed: int) -> PropertyResult:
+def _lloyd_check(stack):
     """Single-start Lloyd from the support-derived start: a monotone trace
     that ends at the brute-force optimum, on every micro instance; the
     detail is the worst gap to that optimum."""
-    def check(stack):
-        theta = analysis.norm_induced_map(stack.support, stack.W)
-        traces = analysis._alternate(stack.query, stack.W, stack.F, theta,
-                                     50, 0, analysis._LR_W)[3]
-        targets = _brute_force_best_j(stack.F, 2).tolist()  # no W steps: W has not moved
-        gaps, oks = [], []
-        for trace, target in zip(traces, targets):
-            values = np.array([[v] for _, v in trace])
-            monotone = analysis._rises(values, 1e-9)[0][0]
-            gap = abs(values[-1, 0] - target)
-            gaps.append(gap)
-            oks.append(monotone and gap <= 1e-9 * max(1.0, target))
-        return oks, gaps
-    # micro instances are well separated so the support-derived start lands
-    # in the optimum's Lloyd basin (loose clouds have true local minima
-    # unreachable by any single-start Lloyd run)
-    return _tally("Lloyd monotone + brute-force optimum on micro instances",
-                  check, instances, first_seed, 1.0, "worst gap {:.2e}",
-                  num_classes=2, queries_per_class=2, dim=2, separation=3.0,
-                  stddev=0.3)
+    theta = analysis.norm_induced_map(stack.support, stack.W)
+    traces = analysis._alternate(stack.query, stack.W, stack.F, theta,
+                                 50, 0, analysis._LR_W)[3]
+    targets = _brute_force_best_j(stack.F, 2).tolist()  # no W steps: W has not moved
+    gaps, oks = [], []
+    for trace, target in zip(traces, targets):
+        values = np.array([[v] for _, v in trace])
+        monotone = analysis._rises(values, 1e-9)[0][0]
+        gap = abs(values[-1, 0] - target)
+        gaps.append(gap)
+        oks.append(monotone and gap <= 1e-9 * max(1.0, target))
+    return oks, gaps
 
 
-def mm_property(instances: int, first_seed: int) -> PropertyResult:
+def _mm_check(stack):
     """Five majorize-minimize rounds at tau=1e-3 never raise the clustering
     term by more than 1e-6, on at least 99% of instances; the detail is the
     largest step-to-step rise."""
-    def check(stack):
-        d2 = _query_d2(stack)
-        h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
-        trace = analysis._mm_trace(stack.query, stack.W, stack.F, stack.theta, d2, 1e-3, 5)
-        return analysis._rises(np.array([h0] + [h for h, _ in trace]), 1e-6)
-    return _tally("majorize-minimize descent at tau=1e-3 (>= 99% of instances)",
-                  check, instances, first_seed, 0.99, "largest rise {:+.2e}")
+    d2 = _query_d2(stack)
+    h0 = analysis._j_value(d2, analysis._soft_rows(d2, 1e-3))
+    trace = analysis._mm_trace(stack.query, stack.W, stack.F, stack.theta, d2, 1e-3, 5)
+    return analysis._rises(np.array([h0] + [h for h, _ in trace]), 1e-6)
 
 
-def sweep_property(instances: int, first_seed: int) -> PropertyResult:
+def _sweep_check(stack):
     """The bound gap at the closed-form assignments (tau=1) shrinks along
     the temperature sweep on at least 95% of instances; the detail is the
     largest step-to-step rise of the gap."""
-    def check(stack):
-        return analysis._sweep_gaps(_query_d2(stack), analysis.TAU_SWEEP)
-    return _tally("gap at closed-form assignments shrinks across tau sweep (>= 95%)",
-                  check, instances, first_seed, 0.95, "largest gap rise {:+.2e}")
+    return analysis._sweep_gaps(_query_d2(stack), analysis.TAU_SWEEP)
+
+
+# name: (line title, check, share of instances that must be ok, detail
+# format of the largest value, instance shape)
+_PROPERTIES = {
+    "decomposition": ("decomposition identity (rel residual <= 1e-10)",
+                      _decomposition_check, 1.0, "worst {:.2e}", {}),
+    "kkt": ("closed-form soft assignments vs projected-gradient oracle (<= 1e-6)",
+            _kkt_check, 1.0, "worst {:.2e}", {}),
+    # micro instances are well separated so the support-derived start lands
+    # in the optimum's Lloyd basin (loose clouds have true local minima
+    # unreachable by any single-start Lloyd run)
+    "lloyd": ("Lloyd monotone + brute-force optimum on micro instances",
+              _lloyd_check, 1.0, "worst gap {:.2e}",
+              dict(num_classes=2, queries_per_class=2, dim=2, separation=3.0, stddev=0.3)),
+    "mm": ("majorize-minimize descent at tau=1e-3 (>= 99% of instances)",
+           _mm_check, 0.99, "largest rise {:+.2e}", {}),
+    "sweep": ("gap at closed-form assignments shrinks across tau sweep (>= 95%)",
+              _sweep_check, 0.95, "largest gap rise {:+.2e}", {}),
+}
+
+
+def _check_run(job) -> list[tuple]:
+    """(value, ok) of each instance of a contiguous run of one property's
+    seeds, in seed order, checked in stacks of the property's shape."""
+    name, seeds = job
+    _, check, _, _, shape = _PROPERTIES[name]
+    pairs = []
+    for stack in _instance_stacks(len(seeds), seeds.start, **shape):
+        oks, values = check(stack)
+        pairs += zip(np.asarray(values).tolist(), np.asarray(oks).tolist())
+    return pairs
+
+
+def _tally(blocks, pool: WorkerPool | None = None) -> list[PropertyResult]:
+    """One result per (property name, instances, first seed) block. Each
+    block's seeds are split into runs (see :meth:`WorkerPool.split`), the
+    runs of every block are checked in one map, and each block's (value,
+    ok) pairs are folded in seed order: the property holds when at least its
+    share of them are ok, and its detail formats the largest value, taken
+    with Python's ``max`` in seed order, so no result depends on the pool."""
+    pool = pool or WorkerPool()
+    runs = [pool.split(range(first, first + n)) for _, n, first in blocks]
+    jobs = [(name, seeds) for (name, _, _), block_runs in zip(blocks, runs)
+            for seeds in block_runs]
+    # longest runs first, so that the pool's last jobs are short ones
+    order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][1]))
+    done = dict(zip(order, pool.map(_check_run, [jobs[i] for i in order])))
+    results = (done[i] for i in range(len(jobs)))
+    tallies = []
+    for (name, n, _), block_runs in zip(blocks, runs):
+        title, _, share, detail, _ = _PROPERTIES[name]
+        passed, worst = 0, None
+        for value, ok in itertools.chain.from_iterable([next(results) for _ in block_runs]):
+            passed += ok
+            worst = value if worst is None else max(worst, value)
+        tallies.append(PropertyResult(title, passed, n, passed >= int(np.ceil(share * n)),
+                                      detail.format(0.0 if worst is None else worst)))
+    return tallies
+
+
+def _one_property(name: str, instances: int, first_seed: int) -> PropertyResult:
+    return _tally([(name, instances, first_seed)])[0]
+
+
+# each property alone, in process, on the seeds first_seed, first_seed + 1, ...
+decomposition_property = functools.partial(_one_property, "decomposition")
+kkt_property = functools.partial(_one_property, "kkt")
+lloyd_property = functools.partial(_one_property, "lloyd")
+mm_property = functools.partial(_one_property, "mm")
+sweep_property = functools.partial(_one_property, "sweep")
 
 
 def run_theory_suite(
@@ -577,6 +645,7 @@ def run_theory_suite(
     mm_instances: int = 500,
     sweep_instances: int = 100,
     base_seed: int = 0,
+    pool: WorkerPool | None = None,
 ) -> list[PropertyResult]:
     """Numeric verification sweeps over seeded random instances.
 
@@ -588,7 +657,8 @@ def run_theory_suite(
     base_seed + 40000. Instances are generated and checked in stacks (see
     ``_THEORY_STACK_BYTES``), Lloyd's rounds, the brute-force optimum and
     the oracle's steps included, with each instance stopping on its own;
-    each one's values do not depend on its stack. A count of 0 gives that
+    each one's values do not depend on its stack, so ``pool`` (in process
+    when None) changes only the wall time. A count of 0 gives that
     property's ``PASS ... 0/0`` line.
 
     The Lloyd property is a single-start check and holds only where Lloyd's
@@ -596,13 +666,27 @@ def run_theory_suite(
     199/200 at base seed 600000: on instance seed 620189 Lloyd stops at the
     true-label clustering, J = 0.2802, while the enumerated optimum is 0.2426.
     """
-    return [
-        decomposition_property(decomposition_instances, base_seed),
-        kkt_property(kkt_instances, base_seed + 10_000),
-        lloyd_property(lloyd_instances, base_seed + 20_000),
-        mm_property(mm_instances, base_seed + 30_000),
-        sweep_property(sweep_instances, base_seed + 40_000),
-    ]
+    return _tally([
+        ("decomposition", decomposition_instances, base_seed),
+        ("kkt", kkt_instances, base_seed + 10_000),
+        ("lloyd", lloyd_instances, base_seed + 20_000),
+        ("mm", mm_instances, base_seed + 30_000),
+        ("sweep", sweep_instances, base_seed + 40_000),
+    ], pool)
+
+
+def _gap_run(job) -> list[list[str]]:
+    """The gap CSV rows of a contiguous run of seeds without their instance
+    ids: one list per instance, one row per temperature."""
+    seeds, taus = job
+    names = [repr(float(tau)) for tau in taus]
+    rows = []
+    for stack in _instance_stacks(len(seeds), seeds.start):
+        H, barrier = analysis.gap_terms(_query_d2(stack), taus)
+        bound = H + barrier
+        for row in zip(H.T.tolist(), bound.T.tolist(), (bound - H).T.tolist()):
+            rows.append([f"{t},{h!r},{b!r},{g!r}" for t, h, b, g in zip(names, *row)])
+    return rows
 
 
 def write_gap_trace(
@@ -610,19 +694,16 @@ def write_gap_trace(
     instances: int = 100,
     taus: tuple[float, ...] = analysis.TAU_SWEEP,
     base_seed: int = 0,
+    pool: WorkerPool | None = None,
 ) -> None:
-    """Emit the per-instance, per-temperature gap table as CSV."""
+    """Emit the per-instance, per-temperature gap table as CSV, its
+    instances split into runs as a property's are (see :func:`_tally`)."""
+    pool = pool or WorkerPool()
+    jobs = [(seeds, taus) for seeds in pool.split(range(base_seed, base_seed + instances))]
     lines = ["instance_id,tau,H,bound,gap"]
-    i = 0
-    names = [repr(float(tau)) for tau in taus]
-    for stack in _instance_stacks(instances, base_seed):
-        H, barrier = analysis.gap_terms(_query_d2(stack), taus)
-        bound = H + barrier
-        # one row per instance: its values at each temperature
-        for row in zip(H.T.tolist(), bound.T.tolist(), (bound - H).T.tolist()):
-            lines.extend(f"{i},{t},{h!r},{b!r},{g!r}" for t, h, b, g in zip(names, *row))
-            i += 1
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    for i, rows in enumerate(itertools.chain.from_iterable(pool.map(_gap_run, jobs))):
+        lines.extend(f"{i},{row}" for row in rows)
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -684,5 +765,5 @@ def export_embeddings(
 
 def write_json(payload: dict, path: str | Path) -> None:
     """Write a report as strict JSON: a NaN or infinity raises ValueError."""
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                          encoding="utf-8")
+    _write_atomic(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n")
+                  .encode("utf-8"))

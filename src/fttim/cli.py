@@ -44,8 +44,7 @@ def _add_source_flags(p: argparse.ArgumentParser, campaign: bool) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="base episode seed (fallback: FTTIM_SEED, then 0)")
     if campaign:
-        p.add_argument("--workers", type=int, default=None,
-                       help="episode worker processes (default: available parallelism)")
+        _add_workers_flag(p)
     p.add_argument("--out", metavar="PATH", help="output path")
     p.add_argument("--config", metavar="FILE",
                    help="flat key=value config file; flags override it")
@@ -57,6 +56,19 @@ def _add_source_flags(p: argparse.ArgumentParser, campaign: bool) -> None:
                    default=bench.STANDARD_SUITE["inter_class_separation"])
     p.add_argument("--class-stddev", type=float,
                    default=bench.STANDARD_SUITE["intra_class_stddev"])
+
+
+def _available_parallelism() -> int:
+    """The CPUs this process may run on, or ``os.cpu_count()`` where the OS
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=_available_parallelism(),
+                   help="worker processes (default: available parallelism)")
 
 
 def _add_tim_flags(p: argparse.ArgumentParser) -> None:
@@ -193,7 +205,7 @@ def _cmd_evaluate(args, parser) -> int:
     config = _tim_config(args, parser)
     out = _out_path(args.out or "eval_report.json")
     report = bench.evaluate(_source(args, parser), config, args.episodes, args.seed,
-                            args.workers or os.cpu_count() or 1)
+                            args.workers)
     bench.write_json(report.to_json_dict(), out)
     print(report.table())
     print(f"wall_time_s: {report.wall_time_s:.2f}")
@@ -205,7 +217,7 @@ def _cmd_compare(args, parser) -> int:
     config = _tim_config(args, parser)
     out = _out_path(args.out or "compare_report.json")
     report = bench.compare(_source(args, parser), config, args.episodes, args.seed,
-                           args.workers or os.cpu_count() or 1)
+                           args.workers)
     bench.write_json(report.to_json_dict(), out)
     print(report.table())
     print(f"report written to {out}")
@@ -214,7 +226,7 @@ def _cmd_compare(args, parser) -> int:
 
 def _cmd_verify_theory(args, parser) -> int:
     counts = {name: getattr(args, name) for name in _THEORY_COUNTS}
-    for name, count in counts.items():
+    for name, count in {**counts, "workers": args.workers}.items():
         if count < 1:
             parser.error(f"--{name.replace('_', '-')} must be at least 1")
     if args.tau_sweep:
@@ -227,12 +239,14 @@ def _cmd_verify_theory(args, parser) -> int:
         if args.gap_instances < 1:
             parser.error("--gap-instances must be at least 1")
         out = _out_path(args.out or "gap_trace.csv")
-    results = bench.run_theory_suite(**counts, base_seed=args.seed)
-    lines = [r.line() for r in results]
-    if args.tau_sweep:
-        bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
-                              base_seed=args.seed)
-        lines.append(f"gap trace written to {out}")
+    # the suite and the gap trace share one pool
+    with bench.WorkerPool(args.workers) as pool:
+        results = bench.run_theory_suite(**counts, base_seed=args.seed, pool=pool)
+        lines = [r.line() for r in results]
+        if args.tau_sweep:
+            bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
+                                  base_seed=args.seed, pool=pool)
+            lines.append(f"gap trace written to {out}")
     print("\n".join(lines))
     return 0 if all(r.ok for r in results) else 1
 
@@ -288,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tau-sweep", metavar="T1,T2,...",
                        help="emit a per-instance gap CSV at these temperatures")
     p_ver.add_argument("--seed", type=int, default=None)
+    _add_workers_flag(p_ver)
     p_ver.add_argument("--out", metavar="PATH")
     p_ver.add_argument("--config", metavar="FILE")
     p_ver.set_defaults(func=_cmd_verify_theory, parser=p_ver)
@@ -305,9 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand, after merging its config file and resolving its
     seed. A file it cannot read, parse, sample from or write, a pool
-    worker's included, is a usage error: one line that names the file.
-    Each command writes its files before it prints, so a reader of stdout
-    that goes away costs only the printed lines: exit code 1."""
+    worker's included, is a usage error: one line that names the file. A
+    verify-theory pool worker that dies is one line and exit code 1. Each
+    command writes its files before it prints, so a reader of stdout that
+    goes away costs only the printed lines: exit code 1."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     parser = args.parser
@@ -317,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, parser)
         sys.stdout.flush()
         return code
+    except bench.WorkerDied as exc:
+        print(f"{parser.prog}: error: worker died: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Python flushes stdout again at exit, so it points at devnull now
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -422,11 +422,13 @@ class Batch:
         for g, w, col, sums, w_sq, m, v, s1, s2 in self.blocks:
             if norm_induced:
                 # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
-                g -= np.multiply(col, w, out=s1)
+                np.copyto(s1, col)
+                s1 *= w
+                g -= s1
             np.dot(g, self.ones, out=sums)  # BLAS row sums, read only by the finiteness check
             _step(w, g, cfg.lr_w, t, s1, s2, m, v)
             if norm_induced:
-                np.add.reduce(np.multiply(w, w, out=s1), axis=1, out=w_sq, keepdims=True)
+                np.add.reduce(np.square(w, out=s1), axis=1, out=w_sq, keepdims=True)
         return _non_finite(self.grad_W, self.row_sums)
 
     def _pass(self) -> list[LossTerms]:

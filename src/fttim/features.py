@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,9 +220,27 @@ def load_feature_bank(path: str | Path) -> FeatureBank:
 def write_feature_bank(bank: FeatureBank, path: str | Path) -> None:
     """Serialize a bank in the canonical feature-table form (LF, UTF-8)."""
     out = [f"d={bank.dim} n={bank.num_records}"]
-    for cid, vec in zip(bank.class_ids, bank.vectors):
-        out.append(f"{int(cid)}," + ",".join(repr(float(x)) for x in vec))
-    Path(path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))
+    # row by row: a list of all the bank's floats would cost 32 bytes a value
+    for cid, vec in zip(bank.class_ids.tolist(), bank.vectors):
+        out.append(f"{cid}," + ",".join(map(repr, vec.tolist())))
+    _write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Writes ``data`` to a temporary file in ``path``'s directory, then
+    renames it to ``path``, so ``path`` holds its old bytes or all of the
+    new ones; on any exception the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the file the caller asked for
+            exc.filename, exc.filename2 = str(path), None
+        raise
 
 
 @dataclass

@@ -368,7 +368,8 @@ def test_cli_surface_is_pinned():
                     "--queries", "--heldout", "--seed", "--workers", *_SHARED_TAIL],
         "verify-theory": ["-h", "--help", "--decomposition-instances", "--kkt-instances",
                           "--lloyd-instances", "--mm-instances", "--sweep-instances",
-                          "--gap-instances", "--tau-sweep", "--seed", "--out", "--config"],
+                          "--gap-instances", "--tau-sweep", "--seed", "--workers", "--out",
+                          "--config"],
         "export-embeddings": ["-h", "--help", "--features", "--synthetic", "--ways",
                               "--queries", "--heldout", "--seed", *_SHARED_TAIL,
                               "--variant"],
@@ -656,33 +657,44 @@ def test_dead_pool_worker_flags_its_part_and_the_report_is_written(tmp_path, mon
                for o in report.per_episode[:2])
 
 
+class _RecordingPool:
+    """A process pool that records its sizes and runs its jobs in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        import concurrent.futures
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Makes every process pool a _RecordingPool; returns the list of their sizes."""
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    return _RecordingPool.sizes
+
+
 @pytest.mark.parametrize("episodes,workers,processes", [(2, 64, 2), (5, 3, 3)])
-def test_pool_has_one_process_per_part(monkeypatch, episodes, workers, processes):
+def test_pool_has_one_process_per_part(recording_pool, episodes, workers, processes):
     # a fork pool starts all max_workers processes at its first submit, so
     # the pool is sized to its parts; the fake pool runs them in-process
-    import concurrent.futures
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     source = bench.SyntheticSource(dim=8, relevant_dims=3, queries_per_class=2)
     outcomes, _ = bench._run_campaign(source, TimConfig(iterations=4, transform_start=2),
                                       ("ft_tim",), episodes, 0, workers)
-    assert sizes == [processes]
+    assert recording_pool == [processes]
     assert [o.seed for o in outcomes["ft_tim"]] == list(range(episodes))
     assert not any(o.failure_flag for o in outcomes["ft_tim"])
 
@@ -937,6 +949,7 @@ def test_verify_theory_small_run_passes(capsys):
     ("--lloyd-instances", "0", "--lloyd-instances must be at least 1"),
     ("--mm-instances", "-1", "--mm-instances must be at least 1"),
     ("--sweep-instances", "0", "--sweep-instances must be at least 1"),
+    ("--workers", "0", "--workers must be at least 1"),
     *[("--tau-sweep", taus, "--tau-sweep must be a comma-separated list of finite floats > 0")
       for taus in ("1,x", "1,,0.1", "1,0", "1,-0.1", "nan", "1,inf")],
 ])
@@ -976,6 +989,117 @@ def test_theory_suite_with_one_property_reports_the_others_empty(prop):
 def test_verify_theory_tamper_canary_fails(capsys, misscaled_decomposition):
     assert main(list(_SMALL_THEORY)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _verify_theory_run(tmp_path, capsys, seed, workers, name):
+    """verify-theory at default counts with a gap trace: (exit code, stdout
+    with the CSV path masked, CSV bytes)."""
+    out = tmp_path / f"{name}.csv"
+    code = main(["verify-theory", "--tau-sweep", "1,0.1,0.01,0.001", "--seed", str(seed),
+                 "--workers", str(workers), "--out", str(out)])
+    return code, capsys.readouterr().out.replace(str(out), "CSV"), out.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 600_000])
+def test_verify_theory_bytes_do_not_depend_on_workers_or_stacks(
+        tmp_path, capsys, monkeypatch, seed):
+    runs = [_verify_theory_run(tmp_path, capsys, seed, w, f"w{w}") for w in (1, 2, 3)]
+    # stacks of three default-shape instances: new stack boundaries in every run
+    monkeypatch.setattr(bench, "_THEORY_STACK_BYTES", 3 * 8 * 5 * 5 * 4 * 8)
+    runs += [_verify_theory_run(tmp_path, capsys, seed, w, f"small{w}") for w in (1, 2)]
+    assert all(run == runs[0] for run in runs[1:])
+    code, out, _ = runs[0]
+    lloyd = "Lloyd monotone + brute-force optimum on micro instances: "
+    assert (code, lloyd + ("200/200" if seed == 0 else "199/200") in out) == (int(seed > 0), True)
+
+
+def test_verify_theory_tamper_canary_fails_through_a_pool(capsys, misscaled_decomposition):
+    assert main([*_SMALL_THEORY, "--workers", "2"]) == 1
+    assert "FAIL  decomposition identity" in capsys.readouterr().out
+
+
+def test_verify_theory_suite_and_gap_trace_share_one_pool(tmp_path, capsys, recording_pool):
+    assert main([*_SMALL_THEORY, "--workers", "3", "--tau-sweep", "1,0.1",
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    assert recording_pool == [3]
+
+
+def test_dead_theory_worker_is_one_line_and_no_gap_file(tmp_path, capsys, monkeypatch):
+    real, parent = bench.analysis.make_random_instances, os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench.analysis, "make_random_instances", dying)
+    out = tmp_path / "g.csv"
+    assert main([*_SMALL_THEORY, "--workers", "2", "--tau-sweep", "1,0.1",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("fttim verify-theory: error: worker died: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify-theory"])
+def test_one_available_cpu_starts_no_pool(tmp_path, capsys, monkeypatch, command):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    if command == "verify-theory":
+        args = [*_SMALL_THEORY, "--tau-sweep", "1,0.1"]
+    else:
+        args = _fast_args(episodes=4)
+        del args[args.index("--workers"):args.index("--workers") + 2]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_available_parallelism_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for command in ("evaluate", "compare", "verify-theory"):
+        assert build_parser().parse_args([command]).workers == 3
+
+
+@contextlib.contextmanager
+def _full_disk(path, mode):
+    """``open`` for writing on a disk that fills up halfway through a write."""
+    with open(path, mode) as f:
+        class HalfWriter:
+            def write(self, data):
+                f.write(data[:len(data) // 2])
+                f.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        yield HalfWriter()
+
+
+@pytest.mark.parametrize("writer", ["json", "gap_trace", "feature_bank"])
+def test_failed_write_keeps_the_old_file_and_leaves_no_stray(tmp_path, monkeypatch, writer):
+    import fttim.features as features
+    target = tmp_path / "target"
+    target.write_bytes(b"old bytes\n")
+    write = {
+        "json": lambda: bench.write_json({"a": 1}, target),
+        "gap_trace": lambda: bench.write_gap_trace(target, instances=3),
+        "feature_bank": lambda: write_feature_bank(
+            FeatureBank(dim=2, class_ids=np.arange(3), vectors=np.ones((3, 2))), target),
+    }[writer]
+    monkeypatch.setattr(features, "open", _full_disk, raising=False)
+    with pytest.raises(OSError) as exc:
+        write()
+    assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, str(target))
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["target"]
+    monkeypatch.undo()
+    write()
+    assert target.read_bytes() != b"old bytes\n"
+    assert os.listdir(tmp_path) == ["target"]
 
 
 class _GoneReader(io.TextIOBase):

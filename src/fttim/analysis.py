@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PROB_FLOOR, _grad_w, _softmax_rows
+from .engine import PROB_FLOOR, _softmax_rows, _w_step
 from .features import (
     Episode,
     SyntheticTaskSpec,
@@ -336,13 +336,16 @@ def _means_update(
 
 def _w_steps(X: np.ndarray, W: np.ndarray, F: np.ndarray, theta: np.ndarray,
              q_rows: np.ndarray, lr: float, steps: int) -> np.ndarray:
-    """W after gradient steps on J through the solver's backward helper,
-    from X's map F under W; X is mapped again only once W has moved. With
-    simplex rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)."""
+    """A copy of W after gradient steps on J, each the solver's plain-rule W
+    step, from X's map F under W; X is mapped again only once W has moved.
+    With simplex rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)."""
+    W = W.copy()
+    grad_W, (col, row_sums) = np.empty_like(W), np.empty((2, *W.shape[:-1]))
+    scratch = np.empty((2, W.size // W.shape[-1], W.shape[-1]))  # one block
     for k in range(steps):
         if k:
             F = norm_induced_map(X, W)
-        W = W - lr * _grad_w(2.0 * (F - q_rows @ theta), X, W, True)
+        _w_step(2.0 * (F - q_rows @ theta), X, W, True, lr, 1, grad_W, col, row_sums, scratch)
     return W
 
 

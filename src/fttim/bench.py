@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import time
@@ -465,11 +464,11 @@ class PropertyResult:
         return f"{status}  {self.name}: {self.passed}/{self.total}{extra}"
 
 
-def _brute_force_best_j(F: np.ndarray, num_classes: int):
-    """Smallest K-means objective over every labeling of the rows of F, for
-    one (n, d) array (a float) or stacks of them along leading axes (an
-    array). Each labeling is enumerated once for the whole stack, and each
-    instance's class sums run as one, the way a single instance's do."""
+def _brute_force_best_j(F: np.ndarray, num_classes: int) -> np.ndarray:
+    """Smallest K-means objective over every labeling of the rows of F, per
+    instance of a stack of (n, d) arrays along leading axes. Each labeling
+    is enumerated once for the whole stack, and each instance's class sums
+    run as one, the way a single instance's do."""
     best = np.full(F.shape[:-2], np.inf)
     for labels in itertools.product(range(num_classes), repeat=F.shape[-2]):
         labels = np.asarray(labels)
@@ -481,7 +480,7 @@ def _brute_force_best_j(F: np.ndarray, num_classes: int):
             mu = members.mean(axis=-2)
             j = j + analysis._total((members - mu[..., None, :]) ** 2)
         best = np.where(j < best, j, best)
-    return float(best) if best.ndim == 0 else best
+    return best
 
 
 # Theory instances are checked in stacks of as many as keep the largest
@@ -624,18 +623,6 @@ def _tally(blocks, pool: WorkerPool | None = None) -> list[PropertyResult]:
         tallies.append(PropertyResult(title, passed, n, passed >= int(np.ceil(share * n)),
                                       detail.format(0.0 if worst is None else worst)))
     return tallies
-
-
-def _one_property(name: str, instances: int, first_seed: int) -> PropertyResult:
-    return _tally([(name, instances, first_seed)])[0]
-
-
-# each property alone, in process, on the seeds first_seed, first_seed + 1, ...
-decomposition_property = functools.partial(_one_property, "decomposition")
-kkt_property = functools.partial(_one_property, "kkt")
-lloyd_property = functools.partial(_one_property, "lloyd")
-mm_property = functools.partial(_one_property, "mm")
-sweep_property = functools.partial(_one_property, "sweep")
 
 
 def run_theory_suite(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -239,9 +240,7 @@ class Batch:
     axis: the features X (B, n, d) with support rows first, the prototypes
     (B, C, d), the transform W (B, d, d) with its squared row norms, their
     Adam moments, the loss trace and the gradient buffers, with one fused
-    forward and backward pass over them. The W step finishes W's gradient,
-    checks it and updates W and its row norms in one pass per block of rows
-    of the stacked (B*d, d) arrays.
+    forward and backward pass over them; :func:`_w_step` steps W.
 
     Every reduction runs along per-episode axes and every product is a
     stacked matmul, so each episode's slice goes through the same
@@ -271,7 +270,7 @@ class Batch:
         self.onehot = np.zeros((B, ns, C))
         self.G = np.empty((B, X.shape[1], C))  # d loss / d logits, support rows first
         self.grad_W = np.empty((B, d, d))
-        self.col, self.row_sums, self.ones = np.empty((B, d)), np.empty((B, d)), np.ones((d, 1))
+        self.col, self.row_sums = np.empty((B, d)), np.empty((B, d))
         self.block_scratch = np.empty((2, min(B * d, max(1, _STACK_BYTES // 16 // d)), d))
         self.count = B
         self.pos = np.arange(B)  # input positions of the episodes still on the stack
@@ -285,20 +284,11 @@ class Batch:
         self.onehot[self.picks] = 1.0
 
     def _index(self) -> None:
-        """Index arrays and buffers that depend on the stack's size, among
-        them the W step's blocks: the same rows of grad_W, W, col, row_sums,
-        w_sq, m_w and v_w as (B*d, -1) arrays, and scratch."""
+        """Index arrays and buffers that depend on the stack's size."""
         ns, G = self.ns, self.G
         self.picks = (np.arange(len(self.pos))[:, None], np.arange(ns), self.labels)
         self.G_s, self.G_q, self.G_T = G[:, :ns], G[:, ns:], G.swapaxes(1, 2)
         self.theta_scratch = tuple(np.empty((2, *self.onehot.shape[::2], self.X.shape[2])))
-        if self.W is None:
-            return
-        n, rows = self.W.shape[0] * self.W.shape[1], self.block_scratch.shape[1]
-        stacked = (self.grad_W, self.W, self.col, self.row_sums, self.w_sq, self.m_w, self.v_w)
-        self.blocks = [(*(None if a is None else a.reshape(n, -1)[i:i + rows] for a in stacked),
-                        *self.block_scratch[:, :min(rows, n - i)])
-                       for i in range(0, n, rows)]
 
     def start(self) -> "Batch":
         """Initial prototypes (the support class means), transform
@@ -310,7 +300,6 @@ class Batch:
         if self.config.update_rule == "adaptive_moment":
             self.m_w, self.v_w = np.zeros_like(self.W), np.zeros_like(self.W)
             self.m_theta, self.v_theta = np.zeros_like(self.theta), np.zeros_like(self.theta)
-        self._index()
         return self
 
     # the solver state that a fork copies
@@ -349,7 +338,6 @@ class Batch:
             return posteriors(self.X, self.theta, cfg.tau, self.f2)
         if self.w_sq is None and cfg.variant != "linear_transform":
             self.w_sq = np.add.reduce(self.W * self.W, axis=2)  # then kept by the W step
-            self._index()
         z, raw, norms, failed, reasons = _normalized(self.X, self.W, cfg.variant,
                                                      self.x_sq, self.w_sq)
         if failed is not None:
@@ -409,28 +397,6 @@ class Batch:
 
         return grad_theta, _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
 
-    def _w_step(self, grad_raw: np.ndarray, t: int) -> np.ndarray | None:
-        """The ``t``-th W update, counting from 1, from d loss/d raw map
-        outputs; returns which episodes' W gradient is not finite, or None.
-        After the whole grad_raw^T X product, each block of rows gets the
-        norm-induced map's column term, its row sums, update and row norms."""
-        cfg = self.config
-        np.matmul(grad_raw.swapaxes(1, 2), self.X, out=self.grad_W)
-        norm_induced = cfg.variant != "linear_transform"
-        if norm_induced:
-            np.add.reduce(grad_raw, axis=1, out=self.col)
-        for g, w, col, sums, w_sq, m, v, s1, s2 in self.blocks:
-            if norm_induced:
-                # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
-                np.copyto(s1, col)
-                s1 *= w
-                g -= s1
-            np.dot(g, self.ones, out=sums)  # BLAS row sums, read only by the finiteness check
-            _step(w, g, cfg.lr_w, t, s1, s2, m, v)
-            if norm_induced:
-                np.add.reduce(np.square(w, out=s1), axis=1, out=w_sq, keepdims=True)
-        return _non_finite(self.grad_W, self.row_sums)
-
     def _pass(self) -> list[LossTerms]:
         """The forward pass at the current iteration, its loss terms in the
         trace, and the episodes whose loss is not finite off the stack."""
@@ -466,7 +432,10 @@ class Batch:
                     grad_raw = None if grad_raw is None else grad_raw[~bad]
                 if grad_raw is not None:
                     # W updates from transform_start on, the prototypes from 0
-                    bad = self._w_step(grad_raw, self.it + 1 - cfg.transform_start)
+                    bad = _w_step(grad_raw, self.X, self.W, cfg.variant != "linear_transform",
+                                  cfg.lr_w, self.it + 1 - cfg.transform_start, self.grad_W,
+                                  self.col, self.row_sums, self.block_scratch, self.w_sq, self.m_w,
+                                  self.v_w)
                     if bad is not None:
                         self._drop(bad, "non-finite transform gradient")
                         grad_theta = grad_theta[~bad]
@@ -507,7 +476,6 @@ class Batch:
                 setattr(twin, name, None if value is None else value.copy())
             twin.traces = [list(t) for t in self.traces]
             twin.failures = dict(self.failures)
-        twin._index()
         return twin
 
 
@@ -526,16 +494,42 @@ def _grad_raw(
     return grad_raw
 
 
-def _grad_w(grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray,
-            norm_induced: bool) -> np.ndarray:
-    """Gradient w.r.t. W from the gradient w.r.t. the raw map outputs, for the
-    norm-induced map or (``norm_induced=False``) the linear map X W^T, for
-    one episode or a stack of them; the same operations as
-    :meth:`Batch._w_step`, over whole arrays."""
-    grad_W = grad_raw.swapaxes(-1, -2) @ X
+@functools.cache
+def _ones_column(d: int) -> np.ndarray:
+    """A read-only (d, 1) column of ones; a BLAS product with it sums rows."""
+    return np.lib.stride_tricks.as_strided(np.ones((d, 1)), writeable=False)
+
+
+def _w_step(
+    grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray, norm_induced: bool, lr: float, t: int,
+    grad_W: np.ndarray, col: np.ndarray, row_sums: np.ndarray, scratch: np.ndarray,
+    w_sq: np.ndarray | None = None, m: np.ndarray | None = None, v: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The ``t``-th (from 1) in-place update of W (:func:`_step`) from d loss/d raw
+    outputs of the norm-induced or (``norm_induced=False``) linear map, for one
+    episode or a stack; returns which episodes' W gradient is not finite, or None.
+    After the grad_raw^T X product into ``grad_W`` and column sums into ``col``, each
+    ``scratch``-sized block of rows gets its column term, row sums, update and ``w_sq``."""
+    np.matmul(grad_raw.swapaxes(-1, -2), X, out=grad_W)
     if norm_induced:
-        grad_W -= np.add.reduce(grad_raw, axis=-2)[..., :, None] * W
-    return grad_W
+        np.add.reduce(grad_raw, axis=-2, out=col)
+    n, rows, ones = W.size // W.shape[-1], scratch.shape[1], _ones_column(W.shape[-1])
+    stacked = [None if a is None else a.reshape(-1, a.shape[-1] if a.ndim == W.ndim else 1)
+               for a in (grad_W, W, col, row_sums, w_sq, m, v)]
+    for i in range(0, n, rows):  # one block needs no slices
+        g, w, c, sums, sq, mb, vb = stacked if n <= rows else [
+            None if a is None else a[i:i + rows] for a in stacked]
+        s1, s2 = scratch[:, :len(g)]
+        if norm_induced:
+            # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
+            np.copyto(s1, c)
+            s1 *= w
+            g -= s1
+        np.dot(g, ones, out=sums)  # BLAS row sums, read only by the finiteness check
+        _step(w, g, lr, t, s1, s2, mb, vb)
+        if sq is not None:
+            np.add.reduce(np.square(w, out=s1), axis=1, out=sq, keepdims=True)
+    return _non_finite(grad_W, row_sums)
 
 
 def _at_state(episode: Episode, state: SolverState, config: TimConfig) -> tuple[Batch, LossTerms]:
@@ -569,9 +563,12 @@ def tim_gradients(
     """
     batch, _ = _at_state(episode, state, config)
     grad_theta, grad_raw = batch.backward()
-    grad_W = np.zeros_like(batch.W) if grad_raw is None else _grad_w(
-        grad_raw, batch.X, batch.W, config.variant != "linear_transform")
-    if _non_finite(grad_theta) is not None or _non_finite(grad_W) is not None:
+    grad_W, bad = np.zeros_like(batch.W), None
+    if grad_raw is not None:  # steps a copy of W, leaving state.W as it is
+        grad_W, bad = batch.grad_W, _w_step(
+            grad_raw, batch.X, batch.W.astype(np.float64), config.variant != "linear_transform",
+            config.lr_w, 1, batch.grad_W, batch.col, batch.row_sums, batch.block_scratch)
+    if _non_finite(grad_theta) is not None or bad is not None:
         raise EpisodeFailure("non-finite gradient", iteration=state.iter)
     return grad_theta[0], grad_W[0]
 

@@ -134,17 +134,6 @@ def _check_record_characters(path: Path, data: bytes, start: int) -> None:
         raise FeatureFormatError(f"{path}: line {lineno}: {why}")
 
 
-def _class_ids(data: bytes, pos: int, n: int) -> np.ndarray:
-    """The integers before the first comma of the ``n`` records from offset
-    ``pos`` on."""
-    class_ids = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        comma = data.find(b",", pos)
-        class_ids[i] = int(data[pos:comma])
-        pos = data.find(b"\n", comma) + 1
-    return class_ids
-
-
 def _raise_first_bad_record(path: Path, records: list[bytes], dim: int) -> None:
     """Raise the error of the first record that is not ``dim + 1`` fields:
     a non-negative class id that ``int()`` reads, then finite values that
@@ -174,10 +163,11 @@ def _raise_first_bad_record(path: Path, records: list[bytes], dim: int) -> None:
 def load_feature_bank(path: str | Path) -> FeatureBank:
     """Parse a feature-table file into a :class:`FeatureBank`.
 
-    The records are parsed in one pass of numpy's text reader, which rounds
-    as ``float()`` does. When that pass rejects the file, the records are
-    read again one by one to report the violation with the 1-based number
-    of the first offending line.
+    The records are parsed in one pass of numpy's text reader, which reads
+    a class id as ``int()`` does and rounds a value as ``float()`` does.
+    When that pass rejects the file, the records are read again one by one
+    to report the violation with the 1-based number of the first offending
+    line.
     """
     path = Path(path)
     data = path.read_bytes()  # no decoding, no newline translation
@@ -206,12 +196,13 @@ def load_feature_bank(path: str | Path) -> FeatureBank:
     if n == 0:
         return FeatureBank(dim=dim, class_ids=np.empty(0, dtype=np.int64),
                            vectors=np.empty((0, dim)))
-    if data[start] != ord("\n"):  # the reader warns when every line is blank
-        try:  # FeatureBank checks the table's shape, the ids' signs and finiteness
+    end = data.find(b"\n", start)
+    # the reader sizes every row by dim, so the first record must have its fields
+    if data.count(b",", start, None if end < 0 else end) == dim:
+        try:  # FeatureBank checks the ids' signs and the values' finiteness
             table = np.loadtxt(io.BytesIO(data), skiprows=1, delimiter=",", comments=None,
-                               dtype=np.float64, ndmin=2)
-            return FeatureBank(dim=dim, class_ids=_class_ids(data, start, n),
-                               vectors=table[:, 1:])
+                               dtype=[("id", np.int64), ("v", np.float64, (dim,))], ndmin=1)
+            return FeatureBank(dim=dim, class_ids=table["id"], vectors=table["v"])
         except (ValueError, OverflowError):
             pass  # the record loop names the first bad line
     _raise_first_bad_record(path, data[start:].split(b"\n")[:n], dim)

@@ -91,7 +91,7 @@ def _report_property(result) -> None:
 
 def test_decomposition_identity():
     start = time.perf_counter()
-    result = bench.decomposition_property(1000, first_seed=0)
+    result = bench._tally([("decomposition", 1000, 0)])[0]
     wall = time.perf_counter() - start
     _report_property(result)
     _report("entropy decomposition identity wall time", wall < 10.0,
@@ -99,16 +99,16 @@ def test_decomposition_identity():
 
 
 def test_kkt_minimizer():
-    _report_property(bench.kkt_property(100, first_seed=10_000))
+    _report_property(bench._tally([("kkt", 100, 10_000)])[0])
 
 
 def test_lloyd_brute_force_and_monotonicity():
-    _report_property(bench.lloyd_property(200, first_seed=20_000))
+    _report_property(bench._tally([("lloyd", 200, 20_000)])[0])
 
 
 def test_mm_descent_and_gap_sweep():
-    _report_property(bench.mm_property(500, first_seed=30_000))
-    _report_property(bench.sweep_property(500, first_seed=30_000))
+    _report_property(bench._tally([("mm", 500, 30_000)])[0])
+    _report_property(bench._tally([("sweep", 500, 30_000)])[0])
 
 
 # --- 6 & 7. paired synthetic campaign -------------------------------------------

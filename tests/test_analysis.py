@@ -172,7 +172,7 @@ def test_kkt_hard_limit_at_large_tau():
 
 
 def test_kkt_matches_projected_gradient_oracle():
-    result = bench.kkt_property(10, first_seed=50)
+    result = bench._tally([("kkt", 10, 50)])[0]
     assert result.ok and result.passed == 10, result.line()
 
 
@@ -258,14 +258,14 @@ def test_one_round_frozen_w_is_plain_lloyd():
 def test_micro_instances_reach_enumeration_optimum():
     # well-separated micro clouds: single-start Lloyd provably cannot escape
     # local minima, so the suite keeps the optimum inside the init's basin
-    result = bench.lloyd_property(50, first_seed=200)
+    result = bench._tally([("lloyd", 50, 200)])[0]
     assert result.ok and result.passed == 50, result.line()
 
 
 def test_brute_force_oracle_on_a_hand_case():
     # two tight pairs far apart: the optimum splits the pairs, J = 2 * 0.5
     F = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-    assert bench._brute_force_best_j(F, 2) == 1.0
+    assert bench._brute_force_best_j(F[None], 2)[0] == 1.0
 
 
 def test_j_trace_never_increases_with_small_w_steps():
@@ -342,6 +342,25 @@ def test_w_step_gradient_matches_central_differences():
             assert abs(grad[idx] - fd) <= rtol * max(atol / rtol, abs(grad[idx]), abs(fd))
 
 
+def test_w_steps_and_mm_rounds_leave_the_instances_as_they_were():
+    # the W steps run the solver's W step, which updates W in place, on a copy
+    stack = analysis.make_random_instances(range(700, 706))
+    arrays = (stack.W, stack.F, stack.theta)
+    before = [a.tobytes() for a in arrays]
+    d2 = squared_distances(stack.F, stack.theta)
+    q = analysis._soft_rows(d2, 1.0)
+    W = _w_steps(stack.query, stack.W, stack.F, stack.theta, q, analysis._LR_W, 2)
+    analysis._mm_trace(stack.query, stack.W, stack.F, stack.theta, d2, 1e-3, 3)
+    assert [a.tobytes() for a in arrays] == before
+    assert not np.shares_memory(W, stack.W) and not np.array_equal(W, stack.W)
+    # one instance, through the public functions
+    episode, W, theta = make_random_instance(700)
+    before = [W.tobytes(), theta.tobytes()]
+    mm_iteration(episode, W, theta, tau=1e-3, rounds=3)
+    alternate_kmeans(episode, max_rounds=3, init_W=W, init_prototypes=theta)
+    assert [W.tobytes(), theta.tobytes()] == before
+
+
 def test_empty_cluster_keeps_previous_prototype():
     episode, W, _ = make_random_instance(13, num_classes=2, queries_per_class=2)
     # place one prototype far away so it captures nothing
@@ -373,7 +392,7 @@ def test_mm_zero_rounds_empty_trace():
 
 
 def test_mm_descent_at_small_tau():
-    result = bench.mm_property(50, first_seed=300)
+    result = bench._tally([("mm", 50, 300)])[0]
     assert result.passed == 50, result.line()
 
 

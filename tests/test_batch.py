@@ -158,7 +158,8 @@ def test_many_block_w_step_matches_reference_bitwise(variant, update_rule):
     episode = SyntheticSource(dim=640).episode(0)
     config = TimConfig(variant=variant, update_rule=update_rule, iterations=25,
                        transform_start=10)
-    assert len(Batch([episode], config).start().blocks) == 13  # 51 rows each
+    rows = Batch([episode], config).block_scratch.shape[1]
+    assert (rows, len(range(0, 640, rows))) == (51, 13)  # the W step's blocks of rows
     _assert_same_run(episode, config)
 
 
@@ -193,7 +194,8 @@ def test_blocks_that_straddle_episodes_match_single_runs_and_reference(
     episodes = [SMALL.episode(s) for s in (11, 13, 12)]
     config = dataclasses.replace(QUICK, **settings)
     batch = Batch(episodes, config).start()
-    assert [len(block[0]) for block in batch.blocks] == [5] * 9 + [3]
+    rows, n = batch.block_scratch.shape[1], batch.W.shape[0] * batch.W.shape[1]
+    assert [min(rows, n - i) for i in range(0, n, rows)] == [5] * 9 + [3]
     batch.run(config.iterations)
     results = batch.finish()
     assert [str(r) if isinstance(r, EpisodeFailure) else None for r in results] == outcomes

@@ -1,5 +1,6 @@
 """Solver tests: posteriors, loss, exact gradients, and the inference loop."""
 
+import dataclasses
 import math
 import warnings
 
@@ -260,6 +261,24 @@ def test_marginal_only_gradient_vanishes_at_symmetric_state():
     grad_theta, grad_w = tim_gradients(episode, state, cfg)
     assert np.max(np.abs(grad_theta)) <= 1e-14
     assert np.all(grad_w == 0.0)
+
+
+@pytest.mark.parametrize("variant", ["ft_tim", "tim_baseline", "linear_transform"])
+def test_gradients_and_loss_leave_the_callers_state_as_it_was(variant):
+    # tim_gradients runs the solver's W step, which updates W in place, on a copy
+    episode = _episode(seed=13, C=3, d=6, qpc=4)
+    cfg = TimConfig(variant=variant, iterations=30, transform_start=10)
+    state = run_ft_tim(episode, cfg).state
+    arrays = [f.name for f in dataclasses.fields(state)
+              if isinstance(getattr(state, f.name), np.ndarray)]
+    assert arrays == ["prototypes", "W", "posteriors", "marginal"]
+    before = [getattr(state, name).tobytes() for name in arrays]
+    trace = list(state.loss_trace)
+    _, grad_w = tim_gradients(episode, state, cfg)
+    tim_loss(episode, state, cfg)
+    assert [getattr(state, name).tobytes() for name in arrays] == before
+    assert state.loss_trace == trace and state.iter == 30
+    assert not np.shares_memory(grad_w, state.W)
 
 
 # --- inference loop -------------------------------------------------------

@@ -516,9 +516,8 @@ def _w_step(
     n, rows, ones = W.size // W.shape[-1], scratch.shape[1], _ones_column(W.shape[-1])
     stacked = [None if a is None else a.reshape(-1, a.shape[-1] if a.ndim == W.ndim else 1)
                for a in (grad_W, W, col, row_sums, w_sq, m, v)]
-    for i in range(0, n, rows):  # one block needs no slices
-        g, w, c, sums, sq, mb, vb = stacked if n <= rows else [
-            None if a is None else a[i:i + rows] for a in stacked]
+    for i in range(0, n, rows):
+        g, w, c, sums, sq, mb, vb = [None if a is None else a[i:i + rows] for a in stacked]
         s1, s2 = scratch[:, :len(g)]
         if norm_induced:
             # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j

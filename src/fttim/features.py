@@ -165,7 +165,8 @@ def load_feature_bank(path: str | Path) -> FeatureBank:
 
     The records are parsed in one pass of numpy's text reader, which reads
     a class id as ``int()`` does and rounds a value as ``float()`` does.
-    When that pass rejects the file, the records are read again one by one
+    When that pass rejects the file or returns fewer than the header's n
+    records (it skips blank lines), the records are read again one by one
     to report the violation with the 1-based number of the first offending
     line.
     """
@@ -202,7 +203,8 @@ def load_feature_bank(path: str | Path) -> FeatureBank:
         try:  # FeatureBank checks the ids' signs and the values' finiteness
             table = np.loadtxt(io.BytesIO(data), skiprows=1, delimiter=",", comments=None,
                                dtype=[("id", np.int64), ("v", np.float64, (dim,))], ndmin=1)
-            return FeatureBank(dim=dim, class_ids=table["id"], vectors=table["v"])
+            if len(table) == n:  # the reader skips blank lines
+                return FeatureBank(dim=dim, class_ids=table["id"], vectors=table["v"])
         except (ValueError, OverflowError):
             pass  # the record loop names the first bad line
     _raise_first_bad_record(path, data[start:].split(b"\n")[:n], dim)

@@ -152,15 +152,27 @@ def test_stack_limit_follows_dimension():
 
 # --- the W step's row blocks ------------------------------------------------------
 
+def _record_w_blocks(monkeypatch):
+    """The row count of each block that a W step updates, in call order (the
+    prototype step updates 3-D stacks, the W step 2-D blocks of rows)."""
+    blocks, step = [], engine._step
+    def recording(param, *args):
+        if param.ndim == 2:
+            blocks.append(len(param))
+        step(param, *args)
+    monkeypatch.setattr(engine, "_step", recording)
+    return blocks
+
+
 @pytest.mark.parametrize("update_rule", UPDATE_RULES)
 @pytest.mark.parametrize("variant", ["ft_tim", "linear_transform"])
-def test_many_block_w_step_matches_reference_bitwise(variant, update_rule):
+def test_many_block_w_step_matches_reference_bitwise(monkeypatch, variant, update_rule):
     episode = SyntheticSource(dim=640).episode(0)
     config = TimConfig(variant=variant, update_rule=update_rule, iterations=25,
                        transform_start=10)
-    rows = Batch([episode], config).block_scratch.shape[1]
-    assert (rows, len(range(0, 640, rows))) == (51, 13)  # the W step's blocks of rows
+    blocks = _record_w_blocks(monkeypatch)
     _assert_same_run(episode, config)
+    assert blocks == ([51] * 12 + [28]) * 15  # 13 blocks in each of the 15 W steps
 
 
 def _reference(episode, config):
@@ -193,10 +205,10 @@ def test_blocks_that_straddle_episodes_match_single_runs_and_reference(
     monkeypatch.setattr(engine, "_STACK_BYTES", 5 * 16 * 16)  # blocks of 5 rows at d = 16
     episodes = [SMALL.episode(s) for s in (11, 13, 12)]
     config = dataclasses.replace(QUICK, **settings)
+    blocks = _record_w_blocks(monkeypatch)
     batch = Batch(episodes, config).start()
-    rows, n = batch.block_scratch.shape[1], batch.W.shape[0] * batch.W.shape[1]
-    assert [min(rows, n - i) for i in range(0, n, rows)] == [5] * 9 + [3]
     batch.run(config.iterations)
+    assert blocks[:10] == [5] * 9 + [3]  # the first W step cuts the 3 x 16 rows so
     results = batch.finish()
     assert [str(r) if isinstance(r, EpisodeFailure) else None for r in results] == outcomes
     for got, episode in zip(results, episodes):

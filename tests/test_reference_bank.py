@@ -221,6 +221,9 @@ def test_loader_agrees_with_the_reference(text, corruptions):
 
 
 @pytest.mark.parametrize("text", [
+    # a blank record at the end, and one between two records
+    "d=1 n=2\n0,1.0\n\n",
+    "d=1 n=3\n0,1.0\n\n1,2.0\n",
     # a blank line the reader skips, then a class id too large for int64
     "d=1 n=3\n0,1.0\n\n99999999999999999999,1.0\n",
     # a non-finite value before a class id too large for int64

@@ -44,6 +44,7 @@ from .features import (
     SyntheticTaskSpec,
     _synthetic_blocks,
     l2_normalize_rows,
+    squared_distances,
 )
 # not called here any more, but profiling wrappers patch it by this module's name
 from .features import generate_synthetic_episode  # noqa: F401
@@ -117,13 +118,6 @@ def _rises(series: np.ndarray, slack: float) -> tuple[np.ndarray, list[float]]:
 def transformed_query_features(episode: Episode, W: np.ndarray) -> np.ndarray:
     """Query features under the map: its raw outputs."""
     return norm_induced_map(episode.query_vectors, W)
-
-
-def squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Squared distance from every feature row to every prototype, for one
-    (features, prototypes) pair or stacks of them along leading axes."""
-    diff = features[..., :, None, :] - prototypes[..., None, :, :]
-    return np.add.reduce(diff * diff, axis=-1)
 
 
 def _d2(X: np.ndarray, W: np.ndarray, prototypes: np.ndarray) -> np.ndarray:

@@ -130,10 +130,13 @@ def _outcome(seed: int, episode: Episode, result, config: TimConfig) -> EpisodeO
     heldout_accuracy = None
     if episode.heldout_vectors is not None:
         try:
-            preds, _ = predict_features(episode.heldout_vectors, result.state, config)
+            preds, p = predict_features(episode.heldout_vectors, result.state, config)
+            reason = None if np.isfinite(p).all() else "non-finite posteriors"
         except DegenerateVectorError as exc:
+            reason = str(exc)
+        if reason is not None:
             return EpisodeOutcome(seed, None, None, result.state.iter, True,
-                                  f"held-out scoring: {exc}")
+                                  f"held-out scoring: {reason}")
         heldout_accuracy = float(np.mean(preds == episode.heldout_hidden_labels))
     return EpisodeOutcome(seed, accuracy, heldout_accuracy, result.state.iter, False)
 

@@ -198,7 +198,8 @@ def _pipeline(X: np.ndarray, state: SolverState, config: TimConfig) -> np.ndarra
     """
     if not transform_active(state.iter, config):
         return X
-    z, _, _, failed, reasons = _normalized(X, state.W, config.variant)
+    with np.errstate(all="ignore"):  # as in the solver: a cube that overflows is no failure
+        z, _, _, failed, reasons = _normalized(X, state.W, config.variant)
     if failed is not None:
         raise DegenerateVectorError(reasons[0])
     return z
@@ -239,8 +240,9 @@ class Batch:
     """The solver state of B same-shaped episodes, stacked along a leading
     axis: the features X (B, n, d) with support rows first, the prototypes
     (B, C, d), the transform W (B, d, d) with its squared row norms, their
-    Adam moments, the loss trace and the gradient buffers, with one fused
-    forward and backward pass over them; :func:`_w_step` steps W.
+    Adam moments, the loss trace (B, iterations + 1, 3) and the gradient
+    buffers, with one fused forward and backward pass over them;
+    :func:`_w_step` steps W.
 
     Every reduction runs along per-episode axes and every product is a
     stacked matmul, so each episode's slice goes through the same
@@ -258,37 +260,31 @@ class Batch:
         first = episodes[0]
         B, C, (ns, d) = len(episodes), first.num_classes, first.support_vectors.shape
         self.ns, self.nq = ns, len(first.query_vectors)
-        self.X = X = np.empty((B, ns + self.nq, d))
+        X = np.empty((B, ns + self.nq, d))
         self.labels = np.empty((B, ns), dtype=np.int64)
         for b, episode in enumerate(episodes):
             if episode.num_classes != C:
                 raise ValueError("a batch needs episodes with the same number of classes")
-            sx, self.labels[b], qx = episode.solver_inputs()
-            X[b, :ns], X[b, ns:] = l2_normalize_rows(sx), l2_normalize_rows(qx)
+            X[b, :ns], self.labels[b], X[b, ns:] = episode.solver_inputs()
+        self.X = X = l2_normalize_rows(X)
         self.x_sq = np.add.reduce(X * X, axis=2)
         self.f2 = np.einsum("...ij,...ij->...i", X, X)  # squared norms of z = X when inactive
         self.onehot = np.zeros((B, ns, C))
+        self.onehot[np.arange(B)[:, None], np.arange(ns), self.labels] = 1.0
         self.G = np.empty((B, X.shape[1], C))  # d loss / d logits, support rows first
         self.grad_W = np.empty((B, d, d))
         self.col, self.row_sums = np.empty((B, d)), np.empty((B, d))
         self.block_scratch = np.empty((2, min(B * d, max(1, _STACK_BYTES // 16 // d)), d))
+        self.theta_scratch = np.empty((2, B, C, d))
         self.count = B
         self.pos = np.arange(B)  # input positions of the episodes still on the stack
         self.failures: dict[int, tuple[int, str]] = {}  # position: (iteration, reason)
         self.it = 0
-        self.traces: list[list[tuple[float, float, float]]] = [[] for _ in range(B)]
+        # (cross_entropy, conditional_entropy, marginal_term) after each update
+        self.trace = np.empty((B, config.iterations + 1, 3))
         self.W = self.w_sq = self.theta = self.m_w = self.v_w = self.m_theta = self.v_theta = None
         self.z = self.raw = self.norms = self.p_s = self.p_q = None
         self.logq = self.plogq = self.marginal = self.log_marginal = None
-        self._index()
-        self.onehot[self.picks] = 1.0
-
-    def _index(self) -> None:
-        """Index arrays and buffers that depend on the stack's size."""
-        ns, G = self.ns, self.G
-        self.picks = (np.arange(len(self.pos))[:, None], np.arange(ns), self.labels)
-        self.G_s, self.G_q, self.G_T = G[:, :ns], G[:, ns:], G.swapaxes(1, 2)
-        self.theta_scratch = tuple(np.empty((2, *self.onehot.shape[::2], self.X.shape[2])))
 
     def start(self) -> "Batch":
         """Initial prototypes (the support class means), transform
@@ -296,14 +292,14 @@ class Batch:
         ns, C = self.ns, self.onehot.shape[2]
         support = self.X[:, :ns]
         self.theta = np.stack([_init_prototypes(s, l, C) for s, l in zip(support, self.labels)])
-        self.W = np.stack([init_transform(s) for s in support])
+        self.W = init_transform(support)
         if self.config.update_rule == "adaptive_moment":
             self.m_w, self.v_w = np.zeros_like(self.W), np.zeros_like(self.W)
             self.m_theta, self.v_theta = np.zeros_like(self.theta), np.zeros_like(self.theta)
         return self
 
     # the solver state that a fork copies
-    _OWN = ("W", "w_sq", "theta", "m_w", "v_w", "m_theta", "v_theta")
+    _OWN = ("W", "w_sq", "theta", "m_w", "v_w", "m_theta", "v_theta", "trace")
     # stacked attributes that lose a failed episode's slice
     _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "grad_W", "col", "row_sums",
                 "pos", *_OWN,
@@ -323,8 +319,6 @@ class Batch:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
-        self.traces = [t for t, k in zip(self.traces, keep) if k]
-        self._index()
 
     def forward(self, active: bool) -> np.ndarray:
         """Map and normalize the features (when the transform is active) and
@@ -345,26 +339,24 @@ class Batch:
         self.z, self.raw, self.norms = z, raw, norms
         return posteriors(z, self.theta, cfg.tau)
 
-    def loss_terms(self, p: np.ndarray) -> list[LossTerms]:
-        """The loss terms of each episode from its stacked (support, query)
-        posterior rows, keeping what ``backward`` needs."""
+    def loss_terms(self, p: np.ndarray) -> np.ndarray:
+        """The (B, 4) loss terms, one row per episode in :class:`LossTerms`
+        order, from the stacked (support, query) posterior rows, keeping
+        what ``backward`` needs."""
         cfg, ns, nq = self.config, self.ns, self.nq
         self.p_s, self.p_q = p[:, :ns], p[:, ns:]
         p_q = self.p_q
         log_p = np.log(np.maximum(p, PROB_FLOOR))
-        log_picked = np.add.reduce(log_p[self.picks], axis=1).tolist()
+        ce = np.add.reduce(log_p[np.arange(len(p))[:, None], np.arange(ns), self.labels], axis=1)
         self.logq = log_p[:, ns:]
         self.plogq = p_q * self.logq
-        plogq = np.add.reduce(self.plogq, axis=(1, 2)).tolist()
+        cond = np.add.reduce(self.plogq, axis=(1, 2))
         self.marginal = np.add.reduce(p_q, axis=1) / nq
         self.log_marginal = np.log(np.maximum(self.marginal, PROB_FLOOR))
-        margs = np.add.reduce(self.marginal * self.log_marginal, axis=1).tolist()
-        k_ce, k_cond = -(cfg.lambda_ce / ns), -(cfg.alpha_cond / nq)
-        terms = []
-        for a, b, marg in zip(log_picked, plogq, margs):
-            ce, cond = k_ce * a, k_cond * b
-            terms.append(LossTerms(ce + cond + marg, ce, cond, marg))
-        return terms
+        marg = np.add.reduce(self.marginal * self.log_marginal, axis=1)
+        ce *= -(cfg.lambda_ce / ns)
+        cond *= -(cfg.alpha_cond / nq)
+        return np.stack((ce + cond + marg, ce, cond, marg), axis=1)
 
     def backward(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(d loss/d theta, d loss/d raw map outputs) at the last forward
@@ -372,8 +364,8 @@ class Batch:
         cfg, ns, nq = self.config, self.ns, self.nq
         p_q, G, z, theta = self.p_q, self.G, self.z, self.theta
         # logit gradients: support rows, then query rows
-        G_s = np.subtract(self.p_s, self.onehot, out=self.G_s)
-        G_s *= cfg.lambda_ce / ns
+        support = np.subtract(self.p_s, self.onehot, out=G[:, :ns])
+        support *= cfg.lambda_ce / ns
         # -log p - (row entropy), the entropy being minus this row sum
         centered = np.negative(self.logq)
         centered += np.add.reduce(self.plogq, axis=2, keepdims=True)
@@ -382,12 +374,12 @@ class Batch:
         log_marginal = self.log_marginal / nq
         g_marg = log_marginal[:, None, :] - p_q @ log_marginal[:, :, None]
         g_marg *= p_q
-        np.add(g_cond, g_marg, out=self.G_q)
+        np.add(g_cond, g_marg, out=G[:, ns:])
 
         # the logit is -(tau/2)||theta_c - z_i||^2, so d/d theta_c is
         # -tau (theta_c - z_i) and d/d z_i is tau (theta_c - z_i)
         grad_theta = np.add.reduce(G, axis=1)[:, :, None] * theta
-        grad_theta -= self.G_T @ z
+        grad_theta -= G.swapaxes(1, 2) @ z
         grad_theta *= -cfg.tau
         if not self.active:
             return grad_theta, None
@@ -397,16 +389,15 @@ class Batch:
 
         return grad_theta, _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
 
-    def _pass(self) -> list[LossTerms]:
+    def _pass(self) -> np.ndarray:
         """The forward pass at the current iteration, its loss terms in the
         trace, and the episodes whose loss is not finite off the stack."""
         terms = self.loss_terms(self.forward(transform_active(self.it, self.config)))
-        finite = [math.isfinite(t.total) for t in terms]
-        if not all(finite):
-            self._drop(~np.array(finite), "non-finite loss")
-            terms = [t for t, ok in zip(terms, finite) if ok]
-        for trace, t in zip(self.traces, terms):
-            trace.append(t[1:])
+        finite = np.isfinite(terms[:, 0])
+        if not finite.all():
+            self._drop(~finite, "non-finite loss")
+            terms = terms[finite]
+        self.trace[:, self.it] = terms[:, 1:]
         return terms
 
     def run(
@@ -416,14 +407,17 @@ class Batch:
         """Update iterations from the current one up to ``stop``: a forward
         pass, gradients, then W and the prototypes, each episode leaving
         the stack at its first degenerate transform, non-finite loss or
-        non-finite gradient. ``on_iteration`` is for a batch of one."""
+        non-finite gradient. ``on_iteration`` is for a batch of one. A
+        ``stop`` past ``config.iterations`` raises ValueError."""
         cfg = self.config
+        if stop > cfg.iterations:
+            raise ValueError(f"stop {stop} is past config.iterations ({cfg.iterations})")
         # overflow shows as a non-finite loss, so numpy need not warn about it
         with np.errstate(all="ignore"):
             while self.it < stop and len(self.pos):
                 terms = self._pass()
-                if on_iteration is not None and terms:
-                    on_iteration(self.it, self.p_q[0], terms[0])
+                if on_iteration is not None and len(terms):
+                    on_iteration(self.it, self.p_q[0], LossTerms(*terms[0].tolist()))
                 grad_theta, grad_raw = self.backward()
                 bad = _non_finite(grad_theta)
                 if bad is not None:
@@ -439,8 +433,8 @@ class Batch:
                     if bad is not None:
                         self._drop(bad, "non-finite transform gradient")
                         grad_theta = grad_theta[~bad]
-                _step(self.theta, grad_theta, cfg.lr_theta, self.it + 1, *self.theta_scratch,
-                      self.m_theta, self.v_theta)
+                _step(self.theta, grad_theta, cfg.lr_theta, self.it + 1,
+                      *self.theta_scratch[:, :len(self.pos)], self.m_theta, self.v_theta)
                 self.it += 1
 
     def finish(self) -> list[RunResult | EpisodeFailure]:
@@ -453,7 +447,8 @@ class Batch:
         for pos, (iteration, reason) in self.failures.items():
             out[pos] = EpisodeFailure(reason, iteration)
         predictions = np.argmax(self.p_q, axis=2) if len(self.pos) else ()
-        for k, (pos, trace) in enumerate(zip(self.pos, self.traces)):
+        for k, pos in enumerate(self.pos):
+            trace = list(map(tuple, self.trace[k, :self.it + 1].tolist()))
             state = SolverState(prototypes=self.theta[k], W=self.W[k],
                                 posteriors=self.p_q[k], marginal=self.marginal[k],
                                 iter=self.it, loss_trace=trace)
@@ -474,7 +469,6 @@ class Batch:
             for name in self._OWN:
                 value = getattr(twin, name)
                 setattr(twin, name, None if value is None else value.copy())
-            twin.traces = [list(t) for t in self.traces]
             twin.failures = dict(self.failures)
         return twin
 
@@ -539,7 +533,7 @@ def _at_state(episode: Episode, state: SolverState, config: TimConfig) -> tuple[
     p = batch.forward(transform_active(state.iter, config))
     if batch.failures:
         raise DegenerateVectorError(batch.failures[0][1])
-    return batch, batch.loss_terms(p)[0]
+    return batch, LossTerms(*batch.loss_terms(p)[0].tolist())
 
 
 def tim_loss(episode: Episode, state: SolverState, config: TimConfig) -> LossTerms:
@@ -630,7 +624,8 @@ def predict_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify new vectors through a fitted state's pipeline.
 
-    Returns (predicted labels, posterior rows)."""
+    Returns (predicted labels, posterior rows), NaN where every logit overflows."""
     x = l2_normalize_rows(vectors)
-    p = posteriors(_pipeline(x, state, config), state.prototypes, config.tau)
+    with np.errstate(all="ignore"):
+        p = posteriors(_pipeline(x, state, config), state.prototypes, config.tau)
     return np.argmax(p, axis=1), p

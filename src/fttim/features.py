@@ -390,6 +390,13 @@ def generate_synthetic_episode(spec: SyntheticTaskSpec) -> Episode:
     return _episode_from_blocks(blocks, spec.queries_per_class, spec.heldout_per_class)
 
 
+def squared_distances(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Squared distance from every feature row to every prototype, for one
+    (features, prototypes) pair or stacks of them along leading axes."""
+    diff = features[..., :, None, :] - prototypes[..., None, :, :]
+    return np.add.reduce(diff * diff, axis=-1)
+
+
 def class_separation_ratio(vectors: np.ndarray, labels: np.ndarray) -> float | None:
     """Mean inter-class pairwise distance divided by mean intra-class distance.
 
@@ -399,8 +406,7 @@ def class_separation_ratio(vectors: np.ndarray, labels: np.ndarray) -> float | N
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels)
-    diffs = vectors[:, None, :] - vectors[None, :, :]
-    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+    dist = np.sqrt(squared_distances(vectors, vectors))
     same = labels[:, None] == labels[None, :]
     upper = np.triu(np.ones_like(same, dtype=bool), k=1)
     intra = dist[same & upper]

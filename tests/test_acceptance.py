@@ -22,7 +22,7 @@ from fttim import (
     tim_loss,
     write_feature_bank,
 )
-from fttim.bench import SyntheticSource, run_episodes
+from fttim.bench import SyntheticSource, _run_campaign
 from fttim.cli import main
 from fttim.engine import SolverState, VARIANTS
 
@@ -117,11 +117,9 @@ def test_mm_descent_and_gap_sweep():
 def paired_campaign():
     source = SyntheticSource(heldout_per_class=5)
     start = time.perf_counter()
-    outcomes = {
-        variant: run_episodes(source, TimConfig(variant=variant),
-                              episodes=600, base_seed=0, workers=4)
-        for variant in VARIANTS
-    }
+    # one campaign of all three variants, which share each stack's first
+    # transform_start iterations, as compare runs them
+    outcomes, _ = _run_campaign(source, TimConfig(), VARIANTS, 600, 0, 4)
     wall = time.perf_counter() - start
     return outcomes, wall
 

@@ -131,6 +131,26 @@ def test_shared_prefix_forks_equal_separate_runs():
             _assert_same(got, _single(episode, config))
 
 
+def test_running_one_fork_leaves_the_other_forks_trace_as_it_was():
+    shared = Batch([SMALL.episode(s) for s in range(3)], QUICK).start()
+    shared.run(QUICK.transform_start)
+    first, second = shared.fork("ft_tim"), shared.fork("linear_transform")
+    before = [b.trace.tobytes() for b in (shared, second)]
+    prefix = np.s_[:, :QUICK.transform_start]
+    assert first.trace[prefix].tobytes() == shared.trace[prefix].tobytes()
+    first.run(QUICK.iterations)
+    first.finish()
+    assert [b.trace.tobytes() for b in (shared, second)] == before
+    assert first.trace[prefix].tobytes() == shared.trace[prefix].tobytes()
+
+
+def test_run_past_the_configured_iterations_raises():
+    batch = Batch([SMALL.episode(0)], QUICK).start()
+    with pytest.raises(ValueError, match=r"^stop 41 is past config.iterations \(40\)$"):
+        batch.run(QUICK.iterations + 1)
+    assert batch.it == 0
+
+
 def test_compare_outcomes_equal_separate_run_ft_tim():
     report = bench.compare(SMALL, QUICK, episodes=5, base_seed=40, workers=1)
     for variant in VARIANTS:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fttim.bench as bench
 from fttim import (
@@ -772,6 +772,30 @@ def test_heldout_scoring_failure_is_flagged():
     assert outcome.error == "held-out scoring: transformed feature 0 is the zero vector"
 
 
+def test_heldout_posteriors_that_overflow_are_flagged_without_a_warning():
+    # at the largest tau, a logit overflows to -inf once its squared distance
+    # passes 2: the held-out vector is farther than that from both prototypes,
+    # so its posterior row is NaN, while each query sits on its own prototype
+    eye = np.eye(3)
+    episode = Episode(
+        num_classes=2,
+        dim=3,
+        support_labels=np.arange(2),
+        support_vectors=eye[:2],
+        query_vectors=eye[:2],
+        query_hidden_labels=np.arange(2),
+        heldout_vectors=-(eye[:1] + eye[1:2]) / np.sqrt(2.0),
+        heldout_hidden_labels=np.array([0]),
+    )
+    cfg = TimConfig(tau=np.finfo(np.float64).max, iterations=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (outcome,) = bench.run_episodes(_FixedSource(episode), cfg, episodes=1, base_seed=0)
+    assert outcome.failure_flag
+    assert outcome.accuracy is None and outcome.heldout_accuracy is None
+    assert outcome.error == "held-out scoring: non-finite posteriors"
+
+
 def test_abbreviated_flag_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("episodes=3\n")
@@ -801,31 +825,43 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["evaluate", "compare"]),
-       floats=st.dictionaries(st.sampled_from(_FLOAT_FLAGS), _FINITE))
-def test_every_finite_float_ends_in_a_report_or_a_usage_line(command, floats):
+_EXPORT_TABLES = ["predicted_labels.csv", "prototypes.csv", "raw_features.csv",
+                  "transformed_features.csv"]
+
+
+def _check_cli_outcome(command: str, flags: list[str]) -> None:
+    """Runs a tiny synthetic ``command`` with ``flags`` on top, every warning
+    an error. It must end in one usage line and no file (exit 2), or else in
+    a strict-JSON report whose exit code says whether an episode was flagged,
+    or, for export-embeddings, four tables that load back (exit 0)."""
+    campaign = command != "export-embeddings"
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report.json"
+        out = Path(tmp) / ("report.json" if campaign else "tables")
         args = [command, "--synthetic", "--dim", "8", "--relevant-dims", "3", "--queries", "2",
-                "--episodes", "2", "--workers", "1", "--tim-iterations", "6",
-                "--tim-transform-start", "2", "--out", str(out)]
-        for flag, value in floats.items():
-            args += [flag, repr(value)]
+                "--tim-iterations", "6", "--tim-transform-start", "2", "--out", str(out)]
+        if campaign:
+            args += ["--episodes", "2", "--workers", "1"]
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             warnings.simplefilter("error")
             try:
-                code = main(args)
+                code = main(args + flags)
             except SystemExit as exc:
                 code = exc.code
         if code == 2:
-            assert not out.exists() and stdout.getvalue() == ""
+            assert [p for p in Path(tmp).rglob("*") if p.is_file()] == []
+            assert stdout.getvalue() == ""
             assert stderr.getvalue().splitlines()[-1].startswith(f"fttim {command}: error: ")
             assert "Traceback" not in stderr.getvalue()
             return
-        assert code in (0, 1) and stderr.getvalue() == ""
+        assert stderr.getvalue() == ""
+        if not campaign:
+            assert code == 0 and sorted(p.name for p in out.iterdir()) == _EXPORT_TABLES
+            for name in _EXPORT_TABLES:
+                load_feature_bank(out / name)
+            return
+        assert code in (0, 1)
         payload = _strict_json(out.read_text())
     reports = payload["variants"].values() if command == "compare" else [payload]
     failures = 0
@@ -836,6 +872,28 @@ def test_every_finite_float_ends_in_a_report_or_a_usage_line(command, floats):
                    if not e["failure_flag"])
         failures += len(flagged)
     assert code == (1 if failures else 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["evaluate", "compare", "export-embeddings"]),
+       floats=st.dictionaries(st.sampled_from(_FLOAT_FLAGS), _FINITE))
+@example(command="export-embeddings", floats={"--tim-lr-w": 2.7037360873739725e+50})
+def test_every_finite_float_ends_in_a_report_or_a_usage_line(command, floats):
+    _check_cli_outcome(command, [f"{flag}={value!r}" for flag, value in floats.items()])
+
+
+# the count flags; --workers is left out, as a large value starts that many processes
+_INT_FLAGS = ("--ways", "--queries", "--heldout", "--dim", "--relevant-dims",
+              "--tim-iterations", "--tim-transform-start", "--episodes")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["evaluate", "compare", "export-embeddings"]),
+       ints=st.dictionaries(st.sampled_from(_INT_FLAGS), st.integers(-3, 12)))
+def test_every_small_count_ends_in_a_report_or_a_usage_line(command, ints):
+    if command == "export-embeddings":
+        ints.pop("--episodes", None)  # a one-episode command has no such flag
+    _check_cli_outcome(command, [f"{flag}={value}" for flag, value in ints.items()])
 
 
 # --- compare ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fttim import (
     tim_loss,
 )
 from fttim.bench import SyntheticSource
-from fttim.engine import Batch, SolverState
+from fttim.engine import Batch, LossTerms, SolverState
 
 
 def _episode(seed=0, C=5, d=16, sep=1.5, sd=0.5, qpc=4, heldout=0):
@@ -86,7 +86,7 @@ def _loss_terms(p_support, labels, p_query, cfg):
         query_hidden_labels=np.zeros(len(p_query), dtype=np.int64),
     )
     (terms,) = Batch([episode], cfg).loss_terms(np.vstack([p_support, p_query])[None])
-    return terms
+    return LossTerms(*terms.tolist())
 
 
 def test_loss_terms_definitional_extremes():

@@ -16,13 +16,14 @@ from .features import (
     sample_episode,
     write_feature_bank,
 )
-from .transform import init_transform, norm_induced_map
 from .engine import (
     EpisodeFailure,
     LossTerms,
     RunResult,
     SolverState,
     TimConfig,
+    init_transform,
+    norm_induced_map,
     posteriors,
     predict_features,
     run_ft_tim,

@@ -34,11 +34,12 @@ instance; assignments go in and out as plain (n, C) arrays of simplex rows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PROB_FLOOR, _softmax_rows, _w_step
+from .engine import PROB_FLOOR, _softmax_rows, _w_step, init_transform, norm_induced_map
 from .features import (
     Episode,
     SyntheticTaskSpec,
@@ -48,7 +49,6 @@ from .features import (
 )
 # not called here any more, but profiling wrappers patch it by this module's name
 from .features import generate_synthetic_episode  # noqa: F401
-from .transform import init_transform, norm_induced_map
 
 _MONOTONE_SLACK = 1e-9
 
@@ -381,25 +381,34 @@ def alternate_kmeans(
     theta = (norm_induced_map(episode.support_vectors, W) if init_prototypes is None
              else np.asarray(init_prototypes, dtype=np.float64))
     X, W = episode.query_vectors[None], W[None]
-    W, theta, q, traces = _alternate(X, W, norm_induced_map(X, W), theta[None],
-                                     max_rounds, w_steps_per_round, lr_w)
-    return KMeansResult(W[0], theta[0], q[0], traces[0])
+    W, theta, q, J, _ = _alternate(X, W, norm_induced_map(X, W), theta[None],
+                                   max_rounds, w_steps_per_round, lr_w)
+    names = itertools.cycle(_round_steps(w_steps_per_round, lr_w))
+    return KMeansResult(W[0], theta[0], q[0], list(zip(names, J[:, 0].tolist())))
+
+
+def _round_steps(w_steps_per_round: int, lr_w: float) -> tuple[str, ...]:
+    """The steps of one :func:`alternate_kmeans` round that record J."""
+    return ("assign", "means", "w_step")[:3 if w_steps_per_round > 0 and lr_w > 0 else 2]
 
 
 def _alternate(
     X: np.ndarray, W: np.ndarray, F: np.ndarray, theta: np.ndarray, max_rounds: int,
     w_steps_per_round: int, lr_w: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[tuple[str, float]]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rounds of :func:`alternate_kmeans` on a stack of queries X
     (B, n, d), their map F under transforms W (B, d, d) and prototypes theta
     (B, C, d), none changed; a round's last distances, and F until W moves,
     open the next. Each instance stops on its own, so its final W,
-    prototypes, hard rows (B, n, C) and trace are the same in any stack."""
+    prototypes, hard rows (B, n, C), J after each of its steps
+    (:func:`_round_steps`) and step count are the same in any stack. J is
+    one (steps, B) array whose column keeps its last value once its
+    instance has stopped."""
     W_out, theta_out = W.copy(), theta.copy()
     q_out = np.zeros(X.shape[:2] + theta.shape[1:2])
-    traces: list[list[tuple[str, float]]] = [[] for _ in range(len(X))]
-    w_step = w_steps_per_round > 0 and lr_w > 0
-    names = ("assign", "means", "w_step")[:3 if w_step else 2]
+    per_round = len(_round_steps(w_steps_per_round, lr_w))  # 3 with W steps
+    J = np.empty((max_rounds * per_round, len(X)))
+    steps = np.zeros(len(X), dtype=np.int64)
     live, q, j_round_end = np.arange(len(X)), None, None
     d2 = squared_distances(F, theta)
     for r in range(max_rounds):
@@ -414,14 +423,17 @@ def _alternate(
         j_means = _j_value(d2, q)
         _assert_nonincreasing(j_assign, j_means, "means step")
         values = [j_assign, j_means]
-        if w_step:
+        if per_round == 3:
             W = _w_steps(X, W, F, theta, q, lr_w, w_steps_per_round)
             F = norm_induced_map(X, W)
             d2 = squared_distances(F, theta)
             values.append(_j_value(d2, q))
+        rows = J[r * per_round:(r + 1) * per_round]
+        if r:
+            rows[:] = J[r * per_round - 1]  # stopped instances keep their last J
+        rows[:, live] = values
+        steps[live] += per_round
         j_end = values[-1]
-        for b, row in zip(live.tolist(), zip(*(v.tolist() for v in values))):
-            traces[b].extend(zip(names, row))
         done = np.full(live.size, r + 1 == max_rounds)
         if r:
             done |= j_round_end - j_end < 1e-10
@@ -431,7 +443,7 @@ def _alternate(
             live, X, W, F, theta, q, d2, j_end = (
                 a[~done] for a in (live, X, W, F, theta, q, d2, j_end))
         j_round_end = j_end
-    return W_out, theta_out, q_out, traces
+    return W_out, theta_out, q_out, J[:steps.max(initial=0)], steps
 
 
 def mm_iteration(

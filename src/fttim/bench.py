@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -223,12 +224,16 @@ class WorkerPool(contextlib.ExitStack):
         if self.workers <= 1 or len(jobs) <= 1:
             return [fn(job) for job in jobs]
         # the pool machinery costs import time, so only pools import it
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         if self._pool is None:
-            self._pool = self.enter_context(
-                ProcessPoolExecutor(max_workers=min(self.workers, len(jobs))))
+            # fork on Linux, which Python 3.14 no longer defaults to: a forked
+            # worker imports nothing again and calls the functions as patched
+            fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            self._pool = self.enter_context(ProcessPoolExecutor(
+                max_workers=min(self.workers, len(jobs)), mp_context=fork))
         futures = [self._pool.submit(fn, job) for job in jobs]
         results = []
         for job, future in zip(jobs, futures):
@@ -539,17 +544,10 @@ def _lloyd_check(stack):
     that ends at the brute-force optimum, on every micro instance; the
     detail is the worst gap to that optimum."""
     theta = analysis.norm_induced_map(stack.support, stack.W)
-    traces = analysis._alternate(stack.query, stack.W, stack.F, theta,
-                                 50, 0, analysis._LR_W)[3]
-    targets = _brute_force_best_j(stack.F, 2).tolist()  # no W steps: W has not moved
-    gaps, oks = [], []
-    for trace, target in zip(traces, targets):
-        values = np.array([[v] for _, v in trace])
-        monotone = analysis._rises(values, 1e-9)[0][0]
-        gap = abs(values[-1, 0] - target)
-        gaps.append(gap)
-        oks.append(monotone and gap <= 1e-9 * max(1.0, target))
-    return oks, gaps
+    J = analysis._alternate(stack.query, stack.W, stack.F, theta, 50, 0, analysis._LR_W)[3]
+    target = _brute_force_best_j(stack.F, 2)  # no W steps: W has not moved
+    gap = np.abs(J[-1] - target)
+    return analysis._rises(J, 1e-9)[0] & (gap <= 1e-9 * np.fmax(1.0, target)), gap
 
 
 def _mm_check(stack):

@@ -64,13 +64,6 @@ def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     return unit
 
 
-def _check_unit_rows(name: str, arr: np.ndarray) -> None:
-    """Raise unless every row of ``arr`` (any leading axes) has unit norm."""
-    norms = np.linalg.norm(arr, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-        raise ValueError(f"{name} vectors are not unit-normalized")
-
-
 @dataclass
 class FeatureBank:
     """In-memory store of (class_id, vector) embedding records.

@@ -1,5 +1,6 @@
 """Clustering-side theory checks: objective, decomposition, bound, MM rounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -287,14 +288,16 @@ def _result_bits(W, theta, q, trace):
 
 def test_w_step_rounds_are_the_same_alone_and_in_a_stack():
     stack = analysis.make_random_instances(range(500, 507))
-    W, theta, q, traces = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
-                                              100, 1, analysis._LR_W)
+    W, theta, q, J, steps = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
+                                                100, 1, analysis._LR_W)
+    assert J.shape == (steps.max(), len(stack))
     for b in range(len(stack)):
         alone = alternate_kmeans(stack.episode(b), w_steps_per_round=1, init_W=stack.W[b],
                                  init_prototypes=stack.theta[b])
         assert any(name == "w_step" for name, _ in alone.trace)
+        trace = list(zip(itertools.cycle(("assign", "means", "w_step")), J[:steps[b], b].tolist()))
         assert _result_bits(alone.W, alone.prototypes, alone.assignments, alone.trace) \
-            == _result_bits(W[b], theta[b], q[b], traces[b])
+            == _result_bits(W[b], theta[b], q[b], trace)
 
 
 def test_rising_means_step_in_a_stack_raises_that_instance_message(monkeypatch):

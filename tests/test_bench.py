@@ -516,12 +516,15 @@ _COMMANDS = {
 
 
 def _usage_error(tmp_path, capsys, command, flag, value, spelling):
-    """The last stderr line of ``command`` given ``flag value`` as a flag, a
-    config entry or (for --seed) FTTIM_SEED, after checking that it is an
-    exit-2 usage error without a traceback or any output."""
+    """The last stderr line of ``command`` given ``flag value`` as a flag, as
+    one ``flag=value`` argument, a config entry or (for --seed) FTTIM_SEED,
+    after checking that it is an exit-2 usage error without a traceback or
+    any output."""
     args = [*_COMMANDS[command], "--out", str(tmp_path / "out")]
     if spelling == "flag":
         args += [flag, value]
+    elif spelling == "equals":
+        args.append(f"{flag}={value}")
     elif spelling == "config":
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{flag[2:]}={value}\n")
@@ -566,6 +569,16 @@ def test_non_finite_float_is_usage_error(tmp_path, monkeypatch, capsys, command,
     _forbid_runs(monkeypatch)
     assert _usage_error(tmp_path, capsys, command, flag, value, spelling) == \
         f"fttim {command}: error: {message}"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
+def test_negative_float_in_exponent_form_is_checked_as_flag_equals_value(
+        tmp_path, monkeypatch, capsys, command):
+    # argparse takes a separate "-1e-5" for an option, so the README gives
+    # such values as --flag=value, which reach the program's own check
+    _forbid_runs(monkeypatch)
+    assert _usage_error(tmp_path, capsys, command, "--tim-tau", "-1e-5", "equals") == \
+        f"fttim {command}: error: tau must be positive"
 
 
 # --- failure propagation -----------------------------------------------------
@@ -658,12 +671,15 @@ def test_dead_pool_worker_flags_its_part_and_the_report_is_written(tmp_path, mon
 
 
 class _RecordingPool:
-    """A process pool that records its sizes and runs its jobs in process."""
+    """A process pool that records its sizes and start methods and runs its
+    jobs in process."""
 
     sizes: list = []
+    start_methods: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
+        self.start_methods.append(mp_context and mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -684,6 +700,7 @@ def recording_pool(monkeypatch):
     import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "start_methods", [])
     return _RecordingPool.sizes
 
 
@@ -1074,6 +1091,12 @@ def test_verify_theory_bytes_do_not_depend_on_workers_or_stacks(
 def test_verify_theory_tamper_canary_fails_through_a_pool(capsys, misscaled_decomposition):
     assert main([*_SMALL_THEORY, "--workers", "2"]) == 1
     assert "FAIL  decomposition identity" in capsys.readouterr().out
+
+
+def test_pool_forks_its_workers_on_linux(recording_pool):
+    with bench.WorkerPool(2) as pool:
+        assert pool.map(abs, [-1, -2]) == [1, 2]
+    assert _RecordingPool.start_methods == ["fork" if sys.platform == "linux" else None]
 
 
 def test_verify_theory_suite_and_gap_trace_share_one_pool(tmp_path, capsys, recording_pool):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +432,16 @@ def test_variant_ordering_direction_on_small_suite():
         accs[variant] = float(np.mean([o.accuracy for o in outcomes]))
     assert accs["ft_tim"] > accs["tim_baseline"]
     assert accs["ft_tim"] > accs["linear_transform"]
+
+
+# --- documentation ----------------------------------------------------------
+
+def test_readme_library_snippet_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    result = namespace["result"]
+    assert result.predictions.shape == (75,)
+    assert len(result.state.loss_trace) == TimConfig().iterations + 1

@@ -17,7 +17,7 @@ import fttim.analysis as analysis
 import fttim.bench as bench
 from fttim.engine import _softmax_rows
 from fttim.features import SyntheticTaskSpec, _synthetic_blocks, _synthetic_means
-from fttim.transform import norm_induced_map
+from fttim import norm_induced_map
 
 MICRO = dict(num_classes=2, queries_per_class=2, dim=2, separation=3.0, stddev=0.3)
 SWEEP = (1.0, 0.1, 0.01, 0.001)
@@ -324,11 +324,18 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
+def _traces(J, steps, names):
+    """Each instance's (name, J) trace from a stacked Lloyd run's J and step counts."""
+    return [list(zip(itertools.cycle(names), J[:n, b].tolist())) for b, n in enumerate(steps)]
+
+
 def _stacked_lloyd(stack):
     """The Lloyd property's run on a stack: final W, prototypes, hard rows
     and the per-instance traces."""
     theta = norm_induced_map(stack.support, stack.W)
-    return analysis._alternate(stack.query, stack.W, stack.F, theta, 50, 0, analysis._LR_W)
+    *out, J, steps = analysis._alternate(stack.query, stack.W, stack.F, theta, 50, 0,
+                                         analysis._LR_W)
+    return (*out, _traces(J, steps, ("assign", "means")))
 
 
 def _derived(stack, micro=False):
@@ -389,8 +396,9 @@ def test_stacked_lloyd_brute_force_and_oracle_equal_reference(base_seed):
 def test_stacked_lloyd_with_w_steps_equals_reference(base_seed, w_steps, lr):
     seeds = range(base_seed + 20_000, base_seed + 20_012)
     stack = analysis.make_random_instances(seeds)
-    W, theta, q, traces = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
-                                              100, w_steps, lr)
+    W, theta, q, J, steps = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
+                                                100, w_steps, lr)
+    traces = _traces(J, steps, ("assign", "means", "w_step"))
     assert len({len(trace) for trace in traces}) > 2
     for b, seed in enumerate(seeds):
         _, query, W_ref, theta_ref = _instance(seed)
@@ -398,6 +406,8 @@ def test_stacked_lloyd_with_w_steps_equals_reference(base_seed, w_steps, lr):
         # repr round-trips a float exactly, so equal reprs are equal bits
         assert repr(traces[b]) == repr(trace)
         assert _bits(W[b], theta[b], q[b]) == _bits(W_ref, theta_ref, q_ref)
+        # once an instance stops, its column keeps its last J
+        assert np.all(J[steps[b]:, b] == J[steps[b] - 1, b])
 
 
 def test_projection_of_a_stack_equals_its_rows_and_the_reference():

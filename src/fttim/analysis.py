@@ -358,32 +358,31 @@ def alternate_kmeans(
     episode: Episode,
     max_rounds: int = 100,
     w_steps_per_round: int = 1,
-    lr_w: float = _LR_W,
     init_W: np.ndarray | None = None,
-    init_prototypes: np.ndarray | None = None,
 ) -> KMeansResult:
-    """Alternating minimization of the mixed K-means objective.
+    """Alternating minimization of the mixed K-means objective, from the
+    transform ``init_W`` (the support's gram matrix when None) and the
+    support's map under it as prototypes.
 
     Each round: hard-assign queries to the nearest prototype in transformed
     space, reset prototypes to class means (empty clusters keep their old
-    prototype), then take ``w_steps_per_round`` gradient steps on the
-    transform. The assignment and means steps can never increase the
+    prototype), then take ``w_steps_per_round`` gradient steps of 0.005 on
+    the transform. The assignment and means steps can never increase the
     objective and that is asserted every round; the transform step is
-    descent only for small ``lr_w``. Stops when a full round improves the
-    objective by less than 1e-10.
+    descent only for a small enough rate. Stops when a full round improves
+    the objective by less than 1e-10.
 
-    With ``w_steps_per_round=0`` (or ``lr_w=0``) this is plain Lloyd
-    iteration on the transformed features. This is the stacked loop of
-    :func:`_alternate` on a stack of one.
+    With ``w_steps_per_round=0`` this is plain Lloyd iteration on the
+    transformed features. This is the stacked loop of :func:`_alternate`
+    on a stack of one.
     """
     W = (init_transform(episode.support_vectors) if init_W is None
          else np.asarray(init_W, dtype=np.float64))
-    theta = (norm_induced_map(episode.support_vectors, W) if init_prototypes is None
-             else np.asarray(init_prototypes, dtype=np.float64))
+    theta = norm_induced_map(episode.support_vectors, W)
     X, W = episode.query_vectors[None], W[None]
     W, theta, q, J, _ = _alternate(X, W, norm_induced_map(X, W), theta[None],
-                                   max_rounds, w_steps_per_round, lr_w)
-    names = itertools.cycle(_round_steps(w_steps_per_round, lr_w))
+                                   max_rounds, w_steps_per_round, _LR_W)
+    names = itertools.cycle(_round_steps(w_steps_per_round, _LR_W))
     return KMeansResult(W[0], theta[0], q[0], list(zip(names, J[:, 0].tolist())))
 
 
@@ -500,20 +499,6 @@ class RandomInstances:
     F: np.ndarray
     theta: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.W)
-
-    def episode(self, b: int) -> Episode:
-        C, d = self.support.shape[1:]
-        return Episode(
-            num_classes=C,
-            dim=d,
-            support_labels=np.arange(C, dtype=np.int64),
-            support_vectors=self.support[b],
-            query_vectors=self.query[b],
-            query_hidden_labels=self.query_labels,
-        )
-
 
 def make_random_instances(
     seeds,
@@ -564,5 +549,9 @@ def make_random_instance(
 ) -> tuple[Episode, np.ndarray, np.ndarray]:
     """The (episode, W, prototypes) triple of :func:`make_random_instances`
     for one seed; ``shape`` takes the same keywords."""
-    instance = make_random_instances([seed], **shape)
-    return instance.episode(0), instance.W[0], instance.theta[0]
+    stack = make_random_instances([seed], **shape)
+    C, d = stack.support.shape[1:]
+    episode = Episode(num_classes=C, dim=d, support_labels=np.arange(C, dtype=np.int64),
+                      support_vectors=stack.support[0], query_vectors=stack.query[0],
+                      query_hidden_labels=stack.query_labels)
+    return episode, stack.W[0], stack.theta[0]

@@ -143,9 +143,9 @@ def _outcome(seed: int, episode: Episode, result, config: TimConfig) -> EpisodeO
 
 
 def _solve_stack(stack, config, variants) -> list[tuple]:
-    """Solves ``stack``, a list of (seed, episode) of same-shaped episodes,
-    into one (variant, outcome, seconds) record per episode and variant,
-    where seconds is the episode's share of the stack's solve time for that
+    """Solves ``stack``, a list of (seed, episode) of one shape, into one
+    (variant, outcome, seconds) record per episode and variant, where
+    seconds is the episode's share of the stack's solve time for that
     variant. The first ``transform_start`` iterations are the same for every
     variant, so they run once and each variant goes on from a copy of that
     state; their time is split evenly."""
@@ -172,9 +172,9 @@ def _failed(variants, seeds, reason: str) -> list[tuple]:
 
 
 def _run_part(job) -> list[tuple]:
-    """The records of a contiguous run of seeds. Consecutive same-shaped
-    episodes are solved in stacks of at most :func:`engine.stack_limit` of
-    their dimension."""
+    """The records of a contiguous run of seeds. Consecutive episodes are
+    solved in stacks of at most :func:`engine.stack_limit` of their
+    dimension; a source gives every episode of a campaign one shape."""
     source, config, variants, seeds = job
     records, stack = [], []
     for seed in seeds:
@@ -183,19 +183,13 @@ def _run_part(job) -> list[tuple]:
         except DegenerateVectorError as exc:
             records += _failed(variants, [seed], f"episode input: {exc}")
             continue
-        if stack and (len(stack) == stack_limit(episode.dim)
-                      or _shape(stack[0][1]) != _shape(episode)):
+        if len(stack) == stack_limit(episode.dim):
             records += _solve_stack(stack, config, variants)
             stack = []
         stack.append((seed, episode))
     if stack:
         records += _solve_stack(stack, config, variants)
     return records
-
-
-def _shape(episode: Episode) -> tuple:
-    return (episode.num_classes, episode.support_vectors.shape,
-            episode.query_vectors.shape)
 
 
 class WorkerDied(RuntimeError):

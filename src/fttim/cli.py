@@ -29,6 +29,15 @@ _THEORY_COUNTS = {name: p.default for name, p in
                   if name.endswith("_instances")}
 
 
+# the flags that only --synthetic takes, with their SyntheticSource field
+_SYNTHETIC_FLAGS = {
+    "--dim": ("dim", int),
+    "--relevant-dims": ("relevant_dims", int),
+    "--class-separation": ("inter_class_separation", float),
+    "--class-stddev": ("intra_class_stddev", float),
+}
+
+
 def _add_source_flags(p: argparse.ArgumentParser, campaign: bool) -> None:
     """The episode source flags, with ``campaign`` also the episode count
     and the worker pool, which a one-episode command has no use for."""
@@ -48,14 +57,8 @@ def _add_source_flags(p: argparse.ArgumentParser, campaign: bool) -> None:
     p.add_argument("--out", metavar="PATH", help="output path")
     p.add_argument("--config", metavar="FILE",
                    help="flat key=value config file; flags override it")
-    p.add_argument("--dim", type=int, default=bench.STANDARD_SUITE["dim"],
-                   help="synthetic feature dimension")
-    p.add_argument("--relevant-dims", type=int,
-                   default=bench.STANDARD_SUITE["relevant_dims"])
-    p.add_argument("--class-separation", type=float,
-                   default=bench.STANDARD_SUITE["inter_class_separation"])
-    p.add_argument("--class-stddev", type=float,
-                   default=bench.STANDARD_SUITE["intra_class_stddev"])
+    for flag, (_, kind) in _SYNTHETIC_FLAGS.items():
+        p.add_argument(flag, type=kind, help="--synthetic only (default: the standard suite's)")
 
 
 def _available_parallelism() -> int:
@@ -79,12 +82,15 @@ def _add_tim_flags(p: argparse.ArgumentParser) -> None:
                            default=None)
 
 
-def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list[str]) -> None:
-    """Fill in values from the key=value file for flags not given on argv."""
-    if not args.config:
-        return
-    path = Path(args.config)
+# the spellings of a config file's boolean values
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_defaults(config: str, parser: argparse.ArgumentParser) -> dict:
+    """The key=value file's entries as ``parser`` defaults, by destination.
+    Every value is converted and checked here, also where a flag on argv
+    will override it."""
+    path = Path(config)
     if not path.exists():
         parser.error(f"--config file not found: {path}")
     actions = {}
@@ -97,6 +103,7 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         parser.error(f"--config {path}: {exc.strerror}")
     except UnicodeDecodeError:
         parser.error(f"--config {path}: not UTF-8 text")
+    defaults = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -109,18 +116,14 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         action = actions.get(key) or actions.get(key.replace("_", "-"))
         if action is None:
             parser.error(f"--config {path} line {lineno}: unknown key {key!r}")
-        opt = action.option_strings[0]
-        if any(a == opt or a.startswith(opt + "=") for a in argv):
-            continue  # explicit flag wins
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
-        elif action.type is not None:
-            try:
-                setattr(args, action.dest, action.type(value))
-            except ValueError:
-                parser.error(f"--config {path} line {lineno}: bad value for {key!r}")
-        else:
-            setattr(args, action.dest, value)
+        try:
+            if action.nargs == 0:  # a flag that takes no value: a boolean
+                defaults[action.dest] = _BOOLEANS[value.lower()]
+            else:
+                defaults[action.dest] = value if action.type is None else action.type(value)
+        except (KeyError, ValueError):
+            parser.error(f"--config {path} line {lineno}: bad value for {key!r}")
+    return defaults
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -155,10 +158,18 @@ _LOWER_BOUNDS = {
 
 def _source(args, parser: argparse.ArgumentParser):
     """The command's episode source, after checking the source flags.
-    Synthetic flags that cannot form a task are a usage error; a bank's load
-    errors are left to :func:`main`."""
+    Synthetic flags that cannot form a task, or that come with
+    ``--features``, are a usage error; a bank's load errors are left to
+    :func:`main`."""
     if bool(args.features) == bool(args.synthetic):
         parser.error("exactly one of --features or --synthetic is required")
+    synthetic = {}  # the flags given; SyntheticSource's defaults are the standard suite
+    for flag, (field, _) in _SYNTHETIC_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            if args.features:
+                parser.error(f"{flag} applies only to --synthetic")
+            synthetic[field] = value
     for name, (low, bound) in _LOWER_BOUNDS.items():
         value = getattr(args, name, None)  # export-embeddings has no campaign flags
         if value is not None and value < low:
@@ -168,13 +179,7 @@ def _source(args, parser: argparse.ArgumentParser):
     if not args.synthetic:
         return bench.BankSource(path=args.features, **shape)
     try:
-        return bench.SyntheticSource(
-            dim=args.dim,
-            relevant_dims=args.relevant_dims,
-            intra_class_stddev=args.class_stddev,
-            inter_class_separation=args.class_separation,
-            **shape,
-        )
+        return bench.SyntheticSource(**synthetic, **shape)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -279,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags are spelled in full: _merge_config_file finds explicit flags by
-    # their full spelling, so an abbreviation would lose to the config file
+    # flags are spelled in full: an abbreviation is a usage error
     p_eval = sub.add_parser("evaluate", allow_abbrev=False,
                             help="run an episodic campaign")
     _add_source_flags(p_eval, campaign=True)
@@ -325,9 +329,13 @@ def main(argv: list[str] | None = None) -> int:
     command writes its files before it prints, so a reader of stdout that
     goes away costs only the printed lines: exit code 1."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    root = build_parser()
+    args = root.parse_args(argv)
     parser = args.parser
-    _merge_config_file(args, parser, argv)
+    if args.config:
+        # the file's entries become defaults, so the flags on argv win
+        parser.set_defaults(**_config_defaults(args.config, parser))
+        args = root.parse_args(argv)
     args.seed = _resolve_seed(args, parser)
     try:
         code = args.func(args, parser)

@@ -241,19 +241,27 @@ def test_bound_check_reports_tightness_flag():
 
 # --- alternating minimization ----------------------------------------------
 
+def _lloyd_round(stack, theta):
+    """The prototypes and hard rows of the one instance of ``stack`` after
+    one Lloyd round (no W step) from prototypes ``theta``."""
+    _, prototypes, q, _, _ = analysis._alternate(stack.query, stack.W, stack.F, theta[None],
+                                                 1, 0, analysis._LR_W)
+    return prototypes[0], q[0]
+
+
 def test_one_round_frozen_w_is_plain_lloyd():
-    episode, W, theta = make_random_instance(12)
-    result = alternate_kmeans(episode, max_rounds=1, w_steps_per_round=0,
-                              init_W=W, init_prototypes=theta)
-    F = transformed_query_features(episode, W)
+    stack = analysis.make_random_instances([12])
+    theta = stack.theta[0]
+    prototypes, assignments = _lloyd_round(stack, theta)
+    F = analysis.norm_induced_map(stack.query[0], stack.W[0])
     d2 = squared_distances(F, theta)
     labels = np.argmin(d2, axis=1)
-    np.testing.assert_array_equal(np.argmax(result.assignments, axis=1),
+    np.testing.assert_array_equal(np.argmax(assignments, axis=1),
                                   labels)
     for c in range(theta.shape[0]):
         members = F[labels == c]
         expected = members.mean(axis=0) if len(members) else theta[c]
-        np.testing.assert_allclose(result.prototypes[c], expected, atol=1e-12)
+        np.testing.assert_allclose(prototypes[c], expected, atol=1e-12)
 
 
 def test_micro_instances_reach_enumeration_optimum():
@@ -270,12 +278,11 @@ def test_brute_force_oracle_on_a_hand_case():
 
 
 def test_j_trace_never_increases_with_small_w_steps():
+    stack = analysis.make_random_instances(range(500))
+    J, steps = analysis._alternate(stack.query, stack.W, stack.F, stack.theta, 6, 1, 0.002)[3:]
     violations = 0
-    for seed in range(500):
-        episode, W, theta = make_random_instance(seed)
-        result = alternate_kmeans(episode, max_rounds=6, w_steps_per_round=1,
-                                  lr_w=0.002, init_W=W, init_prototypes=theta)
-        values = [v for _, v in result.trace]
+    for b in range(len(stack.W)):
+        values = J[:steps[b], b].tolist()
         if any(values[k + 1] > values[k] + 1e-9 for k in range(len(values) - 1)):
             violations += 1
     assert violations == 0
@@ -288,12 +295,13 @@ def _result_bits(W, theta, q, trace):
 
 def test_w_step_rounds_are_the_same_alone_and_in_a_stack():
     stack = analysis.make_random_instances(range(500, 507))
-    W, theta, q, J, steps = analysis._alternate(stack.query, stack.W, stack.F, stack.theta,
+    theta0 = analysis.norm_induced_map(stack.support, stack.W)
+    W, theta, q, J, steps = analysis._alternate(stack.query, stack.W, stack.F, theta0,
                                                 100, 1, analysis._LR_W)
-    assert J.shape == (steps.max(), len(stack))
-    for b in range(len(stack)):
-        alone = alternate_kmeans(stack.episode(b), w_steps_per_round=1, init_W=stack.W[b],
-                                 init_prototypes=stack.theta[b])
+    assert J.shape == (steps.max(), len(stack.W))
+    for b in range(len(stack.W)):
+        episode, W_b, _ = make_random_instance(500 + b)
+        alone = alternate_kmeans(episode, w_steps_per_round=1, init_W=W_b)
         assert any(name == "w_step" for name, _ in alone.trace)
         trace = list(zip(itertools.cycle(("assign", "means", "w_step")), J[:steps[b], b].tolist()))
         assert _result_bits(alone.W, alone.prototypes, alone.assignments, alone.trace) \
@@ -315,14 +323,14 @@ def test_rising_means_step_in_a_stack_raises_that_instance_message(monkeypatch):
 
     monkeypatch.setattr(analysis, "_means_update", rising_means)
     with pytest.raises(InternalConsistencyError) as alone:
-        alternate_kmeans(stack.episode(5), max_rounds=50, w_steps_per_round=0,
-                         init_W=stack.W[5])
+        alternate_kmeans(make_random_instance(705, **micro)[0], max_rounds=50,
+                         w_steps_per_round=0, init_W=stack.W[5])
     assert str(alone.value).startswith("means step increased the K-means objective: ")
     with pytest.raises(InternalConsistencyError) as stacked:
         analysis._alternate(stack.query, stack.W, stack.F, theta0, 50, 0, analysis._LR_W)
     assert str(stacked.value) == str(alone.value)
     # the other instances run through
-    keep = np.arange(len(stack)) != 5
+    keep = np.arange(len(stack.W)) != 5
     analysis._alternate(stack.query[keep], stack.W[keep], stack.F[keep], theta0[keep], 50, 0,
                         analysis._LR_W)
 
@@ -360,30 +368,27 @@ def test_w_steps_and_mm_rounds_leave_the_instances_as_they_were():
     episode, W, theta = make_random_instance(700)
     before = [W.tobytes(), theta.tobytes()]
     mm_iteration(episode, W, theta, tau=1e-3, rounds=3)
-    alternate_kmeans(episode, max_rounds=3, init_W=W, init_prototypes=theta)
+    alternate_kmeans(episode, max_rounds=3, init_W=W)
     assert [W.tobytes(), theta.tobytes()] == before
 
 
 def test_empty_cluster_keeps_previous_prototype():
-    episode, W, _ = make_random_instance(13, num_classes=2, queries_per_class=2)
+    stack = analysis.make_random_instances([13], num_classes=2, queries_per_class=2)
     # place one prototype far away so it captures nothing
-    F = transformed_query_features(episode, W)
+    F = stack.F[0]
     theta = np.vstack([F.mean(axis=0), F.mean(axis=0) + 100.0])
-    result = alternate_kmeans(episode, max_rounds=1, w_steps_per_round=0,
-                              init_W=W, init_prototypes=theta)
-    np.testing.assert_array_equal(result.prototypes[1], theta[1])
-    assert result.assignments[:, 1].sum() == 0.0
+    prototypes, assignments = _lloyd_round(stack, theta)
+    np.testing.assert_array_equal(prototypes[1], theta[1])
+    assert assignments[:, 1].sum() == 0.0
 
 
 def test_prototype_means_are_optimal_for_fixed_assignments():
     rng = np.random.default_rng(14)
     episode, W, theta = make_random_instance(15)
-    result = alternate_kmeans(episode, max_rounds=1, w_steps_per_round=0,
-                              init_W=W, init_prototypes=theta)
-    q = result.assignments
-    base = _kmeans_j(episode, W, result.prototypes, q)
+    prototypes, q = _lloyd_round(analysis.make_random_instances([15]), theta)
+    base = _kmeans_j(episode, W, prototypes, q)
     for _ in range(50):
-        perturbed = result.prototypes + 0.1 * rng.standard_normal(theta.shape)
+        perturbed = prototypes + 0.1 * rng.standard_normal(theta.shape)
         assert _kmeans_j(episode, W, perturbed, q) >= base - 1e-12
 
 

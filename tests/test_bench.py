@@ -29,6 +29,7 @@ from fttim import (
     write_feature_bank,
 )
 from fttim.cli import build_parser, main
+from test_reference_bank import _bank_texts
 
 
 def _fast_args(episodes=12, extra=()):
@@ -437,6 +438,28 @@ def test_campaign_parses_the_bank_once_in_the_parent(tmp_path, monkeypatch):
     assert calls.read_text().split() == [str(os.getpid())]
 
 
+def test_bank_heldout_plain_rule_reports_identical_across_workers(tmp_path):
+    # seven classes of six records: ways 5 with 3 queries and 2 held out use
+    # every record of a chosen class
+    bank = tmp_path / "bank.csv"
+    write_feature_bank(FeatureBank(dim=12, class_ids=np.repeat(np.arange(7), 6),
+                                   vectors=np.random.default_rng(4).standard_normal((42, 12))),
+                       bank)
+    texts = set()
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.json"
+        code = main(["evaluate", "--features", str(bank), "--episodes", "7", "--queries", "3",
+                     "--heldout", "2", "--tim-update-rule", "plain_gradient",
+                     "--tim-iterations", "60", "--tim-transform-start", "20",
+                     "--workers", str(workers), "--seed", "3", "--out", str(out)])
+        assert code == 0
+        texts.add(_strip_wall_time(out.read_text()))
+    assert len(texts) == 1
+    echo = json.loads(out.read_text())["config_echo"]
+    assert echo["protocol"] == "semi_supervised"
+    assert echo["source"]["heldout_per_class"] == 2
+
+
 def test_config_file_merging_and_flag_priority(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -515,12 +538,12 @@ _COMMANDS = {
 }
 
 
-def _usage_error(tmp_path, capsys, command, flag, value, spelling):
-    """The last stderr line of ``command`` given ``flag value`` as a flag, as
-    one ``flag=value`` argument, a config entry or (for --seed) FTTIM_SEED,
-    after checking that it is an exit-2 usage error without a traceback or
-    any output."""
-    args = [*_COMMANDS[command], "--out", str(tmp_path / "out")]
+def _usage_error(tmp_path, capsys, command, flag, value, spelling, commands=_COMMANDS):
+    """The last stderr line of ``command`` (its arguments from ``commands``)
+    given ``flag value`` as a flag, as one ``flag=value`` argument, a config
+    entry or (for --seed) FTTIM_SEED, after checking that it is an exit-2
+    usage error without a traceback or any output."""
+    args = [*commands[command], "--out", str(tmp_path / "out")]
     if spelling == "flag":
         args += [flag, value]
     elif spelling == "equals":
@@ -579,6 +602,65 @@ def test_negative_float_in_exponent_form_is_checked_as_flag_equals_value(
     _forbid_runs(monkeypatch)
     assert _usage_error(tmp_path, capsys, command, "--tim-tau", "-1e-5", "equals") == \
         f"fttim {command}: error: tau must be positive"
+
+
+@pytest.mark.parametrize("flag,value", [("--dim", "999"), ("--relevant-dims", "500"),
+                                        ("--class-separation", "2.0"), ("--class-stddev", "7")])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
+def test_synthetic_flag_with_a_bank_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                   spelling, flag, value):
+    # the bank does not exist: the flags are refused before it is read
+    _forbid_runs(monkeypatch)
+    commands = {command: [command, "--features", str(tmp_path / "bank.csv"),
+                          *_COMMANDS[command][2:]]}
+    assert _usage_error(tmp_path, capsys, command, flag, value, spelling, commands) == \
+        f"fttim {command}: error: {flag} applies only to --synthetic"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if spelling == "config"
+                                                          else [])
+
+
+@pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+@pytest.mark.parametrize("on_argv", [False, True])
+@pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
+def test_config_boolean_that_is_not_a_boolean_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                             command, on_argv, value):
+    # a bad file value is an error also when --synthetic on argv overrides it
+    _forbid_runs(monkeypatch)
+    args = _COMMANDS[command][2:] + (["--synthetic"] if on_argv else [])
+    assert _usage_error(tmp_path, capsys, command, "--synthetic", value, "config",
+                        {command: [command, *args]}) == \
+        f"fttim {command}: error: --config {tmp_path / 'run.cfg'} line 1: bad value for 'synthetic'"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("value,synthetic", [("1", True), ("TRUE", True), ("Yes", True),
+                                             ("0", False), ("False", False), ("NO", False)])
+def test_config_booleans_take_either_case(tmp_path, monkeypatch, capsys, value, synthetic):
+    _forbid_runs(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"synthetic={value}\n")
+    args = ["evaluate", "--episodes", "2", "--workers", "1", "--config", str(cfg)]
+    if synthetic:
+        with pytest.raises(AssertionError, match="the command ran"):
+            main(args)
+    else:
+        with pytest.raises(SystemExit):
+            main(args)
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "fttim evaluate: error: exactly one of --features or --synthetic is required"
+
+
+def test_bad_config_value_is_usage_error_when_the_flag_overrides_it(tmp_path, monkeypatch,
+                                                                     capsys):
+    _forbid_runs(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("episodes=3\nqueries=x\n")
+    with pytest.raises(SystemExit) as exc:
+        main(_fast_args(extra=["--config", str(cfg), "--queries", "4"]))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"fttim evaluate: error: --config {cfg} line 2: bad value for 'queries'"
 
 
 # --- failure propagation -----------------------------------------------------
@@ -846,15 +928,19 @@ _EXPORT_TABLES = ["predicted_labels.csv", "prototypes.csv", "raw_features.csv",
                   "transformed_features.csv"]
 
 
-def _check_cli_outcome(command: str, flags: list[str]) -> None:
-    """Runs a tiny synthetic ``command`` with ``flags`` on top, every warning
-    an error. It must end in one usage line and no file (exit 2), or else in
-    a strict-JSON report whose exit code says whether an episode was flagged,
-    or, for export-embeddings, four tables that load back (exit 0)."""
+_TINY_SYNTHETIC = ("--synthetic", "--dim", "8", "--relevant-dims", "3")
+
+
+def _check_cli_outcome(command: str, flags: list[str], source=_TINY_SYNTHETIC) -> None:
+    """Runs a tiny ``command`` on the episode ``source`` flags with ``flags``
+    on top, every warning an error. It must end in one usage line and no
+    file (exit 2), or else in a strict-JSON report whose exit code says
+    whether an episode was flagged, or, for export-embeddings, four tables
+    that load back (exit 0)."""
     campaign = command != "export-embeddings"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / ("report.json" if campaign else "tables")
-        args = [command, "--synthetic", "--dim", "8", "--relevant-dims", "3", "--queries", "2",
+        args = [command, *source, "--queries", "2",
                 "--tim-iterations", "6", "--tim-transform-start", "2", "--out", str(out)]
         if campaign:
             args += ["--episodes", "2", "--workers", "1"]
@@ -911,6 +997,18 @@ def test_every_small_count_ends_in_a_report_or_a_usage_line(command, ints):
     if command == "export-embeddings":
         ints.pop("--episodes", None)  # a one-episode command has no such flag
     _check_cli_outcome(command, [f"{flag}={value}" for flag, value in ints.items()])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["evaluate", "compare", "export-embeddings"]),
+       text=_bank_texts())
+def test_every_bank_ends_in_a_report_or_a_usage_line(command, text):
+    # canonical banks of extreme finite values, subnormals and signed zeros;
+    # two ways of two queries take three records from each of two classes
+    with tempfile.TemporaryDirectory() as tmp:
+        bank = Path(tmp) / "bank.csv"
+        bank.write_text(text, encoding="utf-8")
+        _check_cli_outcome(command, ["--ways=2"], source=("--features", str(bank)))
 
 
 # --- compare ------------------------------------------------------------------

@@ -334,12 +334,12 @@ def _w_steps(X: np.ndarray, W: np.ndarray, F: np.ndarray, theta: np.ndarray,
     step, from X's map F under W; X is mapped again only once W has moved.
     With simplex rows q_i, d J / d f_i = 2 (f_i - sum_c q_ic theta_c)."""
     W = W.copy()
-    grad_W, (col, row_sums) = np.empty_like(W), np.empty((2, *W.shape[:-1]))
+    grad_W, col = np.empty_like(W), np.empty(W.shape[:-1])
     scratch = np.empty((2, W.size // W.shape[-1], W.shape[-1]))  # one block
     for k in range(steps):
         if k:
             F = norm_induced_map(X, W)
-        _w_step(2.0 * (F - q_rows @ theta), X, W, True, lr, 1, grad_W, col, row_sums, scratch)
+        _w_step(2.0 * (F - q_rows @ theta), X, W, True, lr, 1, grad_W, col, scratch)
     return W
 
 

@@ -685,7 +685,7 @@ def write_gap_trace(
     lines = ["instance_id,tau,H,bound,gap"]
     for i, rows in enumerate(itertools.chain.from_iterable(pool.map(_gap_run, jobs))):
         lines.extend(f"{i},{row}" for row in rows)
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------
@@ -747,5 +747,5 @@ def export_embeddings(
 
 def write_json(payload: dict, path: str | Path) -> None:
     """Write a report as strict JSON: a NaN or infinity raises ValueError."""
-    _write_atomic(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n")
-                  .encode("utf-8"))
+    _write_atomic(path, [(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+                         .encode("utf-8")])

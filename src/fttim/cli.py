@@ -82,6 +82,12 @@ def _add_tim_flags(p: argparse.ArgumentParser) -> None:
                            default=None)
 
 
+# the flags that take a float
+_FLOAT_FLAGS = {*(f"--tim-{f.name.replace('_', '-')}" for f in _TIM_FIELDS
+                  if isinstance(f.default, float)),
+                *(flag for flag, (_, kind) in _SYNTHETIC_FLAGS.items() if kind is float)}
+
+
 # the spellings of a config file's boolean values
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -93,10 +99,8 @@ def _config_defaults(config: str, parser: argparse.ArgumentParser) -> dict:
     path = Path(config)
     if not path.exists():
         parser.error(f"--config file not found: {path}")
-    actions = {}
-    for opt, action in parser._option_string_actions.items():
-        if opt.startswith("--"):
-            actions[opt[2:]] = action
+    actions = {opt[2:]: action for opt, action in parser._option_string_actions.items()
+               if opt.startswith("--") and action.dest not in ("help", "config")}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -329,6 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     command writes its files before it prints, so a reader of stdout that
     goes away costs only the printed lines: exit code 1."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a lone "-1e-5" or "-inf" as an option: join it to its float flag
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _FLOAT_FLAGS and argv[i][:1] == "-" and argv[i][1:2] != "-":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     root = build_parser()
     args = root.parse_args(argv)
     parser = args.parser

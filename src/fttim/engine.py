@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -265,17 +264,13 @@ def _init_prototypes(support_x: np.ndarray, labels: np.ndarray, C: int) -> np.nd
     return theta
 
 
-def _non_finite(a: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray | None:
+def _non_finite(a: np.ndarray) -> np.ndarray | None:
     """Per stacked episode (leading axis), whether some entry of ``a`` is not
-    finite, or None when every entry is. ``sums``, stacked the same way, may
-    pass in sums over parts of each episode's entries, such as row sums."""
-    sums = a if sums is None else sums
-    # a finite sum proves every entry it adds finite; only an episode with a
-    # non-finite or overflowing sum has its entries checked
-    if math.isfinite(np.add.reduce(sums, axis=None)):
+    finite, or None when every entry is."""
+    # a finite sum of squares proves every entry finite; else each episode is checked
+    if math.isfinite(np.vdot(a, a)):
         return None
-    sums_ok = np.logical_and.reduce(np.isfinite(sums).reshape(len(a), -1), axis=1)
-    bad = np.array([not ok and not np.isfinite(e).all() for ok, e in zip(sums_ok, a)])
+    bad = ~np.logical_and.reduce(np.isfinite(a).reshape(len(a), -1), axis=1)
     return bad if bad.any() else None
 
 
@@ -325,7 +320,7 @@ class Batch:
         self.onehot[np.arange(B)[:, None], np.arange(ns), self.labels] = 1.0
         self.G = np.empty((B, X.shape[1], C))  # d loss / d logits, support rows first
         self.grad_W = np.empty((B, d, d))
-        self.col, self.row_sums = np.empty((B, d)), np.empty((B, d))
+        self.col = np.empty((B, d))
         self.block_scratch = np.empty((2, min(B * d, max(1, _STACK_BYTES // 16 // d)), d))
         self.theta_scratch = np.empty((2, B, C, d))
         self.count = B
@@ -353,8 +348,7 @@ class Batch:
     # the solver state that a fork copies
     _OWN = ("W", "w_sq", "theta", "m_w", "v_w", "m_theta", "v_theta", "trace")
     # stacked attributes that lose a failed episode's slice
-    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "grad_W", "col", "row_sums",
-                "pos", *_OWN,
+    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "grad_W", "col", "pos", *_OWN,
                 "z", "raw", "norms", "p_s", "p_q", "logq", "plogq", "marginal",
                 "log_marginal")
 
@@ -480,8 +474,7 @@ class Batch:
                     # W updates from transform_start on, the prototypes from 0
                     bad = _w_step(grad_raw, self.X, self.W, cfg.variant != "linear_transform",
                                   cfg.lr_w, self.it + 1 - cfg.transform_start, self.grad_W,
-                                  self.col, self.row_sums, self.block_scratch, self.w_sq, self.m_w,
-                                  self.v_w)
+                                  self.col, self.block_scratch, self.w_sq, self.m_w, self.v_w)
                     if bad is not None:
                         self._drop(bad, "non-finite transform gradient")
                         grad_theta = grad_theta[~bad]
@@ -540,41 +533,35 @@ def _grad_raw(
     return grad_raw
 
 
-@functools.cache
-def _ones_column(d: int) -> np.ndarray:
-    """A read-only (d, 1) column of ones; a BLAS product with it sums rows."""
-    return np.lib.stride_tricks.as_strided(np.ones((d, 1)), writeable=False)
-
-
 def _w_step(
     grad_raw: np.ndarray, X: np.ndarray, W: np.ndarray, norm_induced: bool, lr: float, t: int,
-    grad_W: np.ndarray, col: np.ndarray, row_sums: np.ndarray, scratch: np.ndarray,
+    grad_W: np.ndarray, col: np.ndarray, scratch: np.ndarray,
     w_sq: np.ndarray | None = None, m: np.ndarray | None = None, v: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """The ``t``-th (from 1) in-place update of W (:func:`_step`) from d loss/d raw
     outputs of the norm-induced or (``norm_induced=False``) linear map, for one
     episode or a stack; returns which episodes' W gradient is not finite, or None.
     After the grad_raw^T X product into ``grad_W`` and column sums into ``col``, each
-    ``scratch``-sized block of rows gets its column term, row sums, update and ``w_sq``."""
+    ``scratch``-sized block of rows gets its column term, update and ``w_sq``; the
+    finished ``grad_W`` is checked last."""
     np.matmul(grad_raw.swapaxes(-1, -2), X, out=grad_W)
     if norm_induced:
         np.add.reduce(grad_raw, axis=-2, out=col)
-    n, rows, ones = W.size // W.shape[-1], scratch.shape[1], _ones_column(W.shape[-1])
+    n, rows = W.size // W.shape[-1], scratch.shape[1]
     stacked = [None if a is None else a.reshape(-1, a.shape[-1] if a.ndim == W.ndim else 1)
-               for a in (grad_W, W, col, row_sums, w_sq, m, v)]
+               for a in (grad_W, W, col, w_sq, m, v)]
     for i in range(0, n, rows):
-        g, w, c, sums, sq, mb, vb = [None if a is None else a[i:i + rows] for a in stacked]
+        g, w, c, sq, mb, vb = [None if a is None else a[i:i + rows] for a in stacked]
         s1, s2 = scratch[:, :len(g)]
         if norm_induced:
             # raw[i, j] = -0.5||x_i - w_j||^2: d raw[i, j]/d w_j = x_i - w_j
             np.copyto(s1, c)
             s1 *= w
             g -= s1
-        np.dot(g, ones, out=sums)  # BLAS row sums, read only by the finiteness check
         _step(w, g, lr, t, s1, s2, mb, vb)
         if sq is not None:
             np.add.reduce(np.square(w, out=s1), axis=1, out=sq, keepdims=True)
-    return _non_finite(grad_W, row_sums)
+    return _non_finite(grad_W)
 
 
 def _at_state(episode: Episode, state: SolverState, config: TimConfig) -> tuple[Batch, LossTerms]:
@@ -612,7 +599,7 @@ def tim_gradients(
     if grad_raw is not None:  # steps a copy of W, leaving state.W as it is
         grad_W, bad = batch.grad_W, _w_step(
             grad_raw, batch.X, batch.W.astype(np.float64), config.variant != "linear_transform",
-            config.lr_w, 1, batch.grad_W, batch.col, batch.row_sums, batch.block_scratch)
+            config.lr_w, 1, batch.grad_W, batch.col, batch.block_scratch)
     if _non_finite(grad_theta) is not None or bad is not None:
         raise EpisodeFailure("non-finite gradient", iteration=state.iter)
     return grad_theta[0], grad_W[0]

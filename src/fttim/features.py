@@ -18,11 +18,13 @@ scoring layer touches ``query_hidden_labels``.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -204,23 +206,25 @@ def load_feature_bank(path: str | Path) -> FeatureBank:
 
 
 def write_feature_bank(bank: FeatureBank, path: str | Path) -> None:
-    """Serialize a bank in the canonical feature-table form (LF, UTF-8)."""
-    out = [f"d={bank.dim} n={bank.num_records}"]
-    # row by row: a list of all the bank's floats would cost 32 bytes a value
-    for cid, vec in zip(bank.class_ids.tolist(), bank.vectors):
-        out.append(f"{cid}," + ",".join(map(repr, vec.tolist())))
-    _write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
+    """Serialize a bank in the canonical feature-table form (LF, UTF-8),
+    streamed to the file 64 lines at a time, never as the whole file's text."""
+    lines = itertools.chain([f"d={bank.dim} n={bank.num_records}\n"],
+                            (f"{cid},{','.join(map(repr, vec.tolist()))}\n"
+                             for cid, vec in zip(bank.class_ids.tolist(), bank.vectors)))
+    _write_atomic(path, ("".join(itertools.islice(lines, 64)).encode("utf-8")
+                         for _ in range(0, bank.num_records + 1, 64)))
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Writes ``data`` to a temporary file in ``path``'s directory, then
-    renames it to ``path``, so ``path`` holds its old bytes or all of the
-    new ones; on any exception the temporary file is removed."""
+def _write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:
+    """Writes the byte ``blocks`` in order to a temporary file in ``path``'s
+    directory, then renames it to ``path``, so ``path`` holds its old bytes
+    or all of the new ones; on any exception the temporary file is removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for block in blocks:
+                f.write(block)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)

@@ -575,6 +575,19 @@ def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command, sp
         f"fttim {command}: error: {message}"
 
 
+@pytest.mark.parametrize("key", ["help", "config"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_and_config_are_not_config_keys(tmp_path, monkeypatch, capsys, command, key):
+    _forbid_runs(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={'yes' if key == 'help' else 'x.cfg'}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*_COMMANDS[command], "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"fttim {command}: error: --config {cfg} line 1: unknown key {key!r}"
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--tim-tau", "nan", "tau must be finite"),
     ("--tim-tau", "inf", "tau must be finite"),
@@ -594,14 +607,29 @@ def test_non_finite_float_is_usage_error(tmp_path, monkeypatch, capsys, command,
         f"fttim {command}: error: {message}"
 
 
+# each float flag's message for a negative value
+_NEGATIVE_FLOAT_MESSAGES = {
+    "--tim-tau": "tau must be positive",
+    "--tim-lr-theta": "learning rates must be positive",
+    "--tim-lr-w": "learning rates must be positive",
+    "--tim-lambda-ce": "loss weights must be non-negative",
+    "--tim-alpha-cond": "loss weights must be non-negative",
+    "--class-stddev": "stddev and separation must be non-negative",
+    "--class-separation": "stddev and separation must be non-negative",
+}
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare", "export-embeddings"])
 def test_negative_float_in_exponent_form_is_checked_as_flag_equals_value(
         tmp_path, monkeypatch, capsys, command):
-    # argparse takes a separate "-1e-5" for an option, so the README gives
-    # such values as --flag=value, which reach the program's own check
+    # argparse alone would take a separate "-1e-5" for an option; given
+    # either way, the value reaches the program's own check
     _forbid_runs(monkeypatch)
-    assert _usage_error(tmp_path, capsys, command, "--tim-tau", "-1e-5", "equals") == \
-        f"fttim {command}: error: tau must be positive"
+    assert sorted(_NEGATIVE_FLOAT_MESSAGES) == sorted(_FLOAT_FLAGS)
+    for flag, message in _NEGATIVE_FLOAT_MESSAGES.items():
+        for spelling in ("equals", "flag"):
+            assert _usage_error(tmp_path, capsys, command, flag, "-1e-5", spelling) == \
+                f"fttim {command}: error: {message}"
 
 
 @pytest.mark.parametrize("flag,value", [("--dim", "999"), ("--relevant-dims", "500"),

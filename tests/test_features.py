@@ -1,6 +1,7 @@
 """Feature bank format, normalization, and episodic sampling tests."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,23 @@ def test_write_load_write_byte_identical(tmp_path):
         write_feature_bank(bank, p1)
         write_feature_bank(load_feature_bank(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_bank_write_holds_a_block_of_rows_not_the_file(tmp_path):
+    # 1,000 rows span several write blocks; a write that built the whole
+    # text first would peak at about three times the file
+    bank = _random_bank(np.random.default_rng(3), num_classes=10, per_class=100, dim=64)
+    p = tmp_path / "bank.csv"
+    tracemalloc.start()
+    try:
+        write_feature_bank(bank, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.stat().st_size / 3
+    loaded = load_feature_bank(p)
+    assert loaded.class_ids.tolist() == bank.class_ids.tolist()
+    assert loaded.vectors.tolist() == bank.vectors.tolist()
 
 
 # --- normalization --------------------------------------------------------

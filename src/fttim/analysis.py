@@ -471,17 +471,17 @@ def _mm_trace(
     """The rounds of :func:`mm_iteration` from queries X, their map F under
     W and its distances d2 to theta, for one instance (float pairs) or a
     stack (pairs of arrays); none is changed. A round maps and computes
-    distances once, after its W step, and the next round starts there."""
-    trace = []
+    distances once, after its W step, and the next round starts there, with
+    the assignments that gave this round's H."""
+    trace, q = [], _soft_rows(d2, tau)
     for _ in range(rounds):
-        q = _soft_rows(d2, tau)
         theta = _means_update(F, q, theta)
         W = _w_steps(X, W, F, theta, q, _LR_W, 1)
         F = norm_induced_map(X, W)
         d2 = squared_distances(F, theta)
-        h_now = _j_value(d2, _soft_rows(d2, tau))
-        bound = _j_value(d2, q) + barrier_value(q, tau)
-        trace.append((h_now, bound))
+        q_next = _soft_rows(d2, tau)
+        trace.append((_j_value(d2, q_next), _j_value(d2, q) + barrier_value(q, tau)))
+        q = q_next
     return trace
 
 

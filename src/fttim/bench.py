@@ -12,6 +12,7 @@ count affects wall time only.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import itertools
 import json
@@ -147,8 +148,8 @@ def _solve_stack(stack, config, variants) -> list[tuple]:
     (variant, outcome, seconds) record per episode and variant, where
     seconds is the episode's share of the stack's solve time for that
     variant. The first ``transform_start`` iterations are the same for every
-    variant, so they run once and each variant goes on from a copy of that
-    state; their time is split evenly."""
+    variant, so they run once and each variant goes on from a copy of the
+    whole stack, the last from the stack itself; their time is split evenly."""
     start = time.perf_counter()
     shared = Batch([episode for _, episode in stack], config).start()
     shared.run(min(config.transform_start, config.iterations))
@@ -156,7 +157,8 @@ def _solve_stack(stack, config, variants) -> list[tuple]:
     records = []
     for k, variant in enumerate(variants):
         start = time.perf_counter()
-        batch = shared.fork(variant, share=k == len(variants) - 1)
+        batch = shared if k == len(variants) - 1 else copy.deepcopy(shared)
+        batch.config = dataclasses.replace(config, variant=variant)
         batch.run(config.iterations)
         outcomes = [_outcome(seed, episode, result, batch.config)
                     for (seed, episode), result in zip(stack, batch.finish())]

@@ -245,15 +245,19 @@ def _cmd_verify_theory(args, parser) -> int:
             taus = ()
         if not taus or not all(math.isfinite(t) and t > 0 for t in taus):
             parser.error("--tau-sweep must be a comma-separated list of finite floats > 0")
-        if args.gap_instances < 1:
+        if args.gap_instances is not None and args.gap_instances < 1:
             parser.error("--gap-instances must be at least 1")
         out = _out_path(args.out or "gap_trace.csv")
+    else:
+        for name in ("gap_instances", "out"):
+            if getattr(args, name) is not None:
+                parser.error(f"--{name.replace('_', '-')} applies only with --tau-sweep")
     # the suite and the gap trace share one pool
     with bench.WorkerPool(args.workers) as pool:
         results = bench.run_theory_suite(**counts, base_seed=args.seed, pool=pool)
         lines = [r.line() for r in results]
         if args.tau_sweep:
-            bench.write_gap_trace(out, instances=args.gap_instances, taus=taus,
+            bench.write_gap_trace(out, instances=args.gap_instances or 100, taus=taus,
                                   base_seed=args.seed, pool=pool)
             lines.append(f"gap trace written to {out}")
     print("\n".join(lines))
@@ -306,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="numeric verification of the clustering-side theory")
     for name, default in _THEORY_COUNTS.items():
         p_ver.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
-    p_ver.add_argument("--gap-instances", type=int, default=100)
+    p_ver.add_argument("--gap-instances", type=int, help="--tau-sweep only (default: 100)")
     p_ver.add_argument("--tau-sweep", metavar="T1,T2,...",
                        help="emit a per-instance gap CSV at these temperatures")
     p_ver.add_argument("--seed", type=int, default=None)
     _add_workers_flag(p_ver)
-    p_ver.add_argument("--out", metavar="PATH")
+    p_ver.add_argument("--out", metavar="PATH", help="--tau-sweep only (default: gap_trace.csv)")
     p_ver.add_argument("--config", metavar="FILE")
     p_ver.set_defaults(func=_cmd_verify_theory, parser=p_ver)
 

@@ -20,8 +20,6 @@ are exact and flow through the map and its post-normalization.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -297,9 +295,10 @@ class Batch:
     results do not depend on which episodes share a batch. An episode that
     fails leaves the stack with its iteration and reason; the others go on.
 
-    ``run`` iterates, ``finish`` scores the queries in a last pass and
-    returns one result or failure per episode, and ``fork`` continues the
-    stack as another variant from a copy of its state.
+    ``run`` iterates, and ``finish`` scores the queries in a last pass and
+    returns one result or failure per episode. A stack goes on as another
+    variant by setting ``config``; each variant of a shared prefix runs on
+    a copy of the whole stack.
     """
 
     def __init__(self, episodes: Sequence[Episode], config: TimConfig):
@@ -345,12 +344,10 @@ class Batch:
             self.m_theta, self.v_theta = np.zeros_like(self.theta), np.zeros_like(self.theta)
         return self
 
-    # the solver state that a fork copies
-    _OWN = ("W", "w_sq", "theta", "m_w", "v_w", "m_theta", "v_theta", "trace")
     # stacked attributes that lose a failed episode's slice
-    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "grad_W", "col", "pos", *_OWN,
-                "z", "raw", "norms", "p_s", "p_q", "logq", "plogq", "marginal",
-                "log_marginal")
+    _STACKED = ("X", "x_sq", "f2", "labels", "onehot", "G", "grad_W", "col", "pos", "W",
+                "w_sq", "theta", "m_w", "v_w", "m_theta", "v_theta", "trace", "z", "raw",
+                "norms", "p_s", "p_q", "logq", "plogq", "marginal", "log_marginal")
 
     def _drop(self, failed: np.ndarray, reasons: str | list[str]) -> None:
         """Take the flagged episodes off the stack, each keeping the current
@@ -433,7 +430,7 @@ class Batch:
         grad_z -= np.add.reduce(G, axis=2)[:, :, None] * z
         grad_z *= cfg.tau
 
-        return grad_theta, _grad_raw(grad_z, self.raw, self.norms, out=grad_z)
+        return grad_theta, _grad_raw(grad_z, self.raw, self.norms)
 
     def _pass(self) -> np.ndarray:
         """The forward pass at the current iteration, its loss terms in the
@@ -500,37 +497,15 @@ class Batch:
             out[pos] = RunResult(predictions[k], state, trace)
         return out
 
-    def fork(self, variant: str, share: bool = False) -> "Batch":
-        """This stack, continued as ``variant``: a copy whose solver state
-        (prototypes, W and its row norms, Adam moments, trace, failures) is
-        its own, while the constants and the gradient and block buffers stay
-        shared, so forks must run one after another. With ``share``, the
-        stack itself goes on instead."""
-        twin = self if share else copy.copy(self)
-        twin.config = dataclasses.replace(self.config, variant=variant)
-        if variant == "linear_transform":
-            twin.w_sq = None  # the linear W step does not keep it
-        if not share:
-            for name in self._OWN:
-                value = getattr(twin, name)
-                setattr(twin, name, None if value is None else value.copy())
-            twin.failures = dict(self.failures)
-        return twin
 
-
-def _grad_raw(
-    grad_z: np.ndarray, raw: np.ndarray, norms: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _grad_raw(grad_z: np.ndarray, raw: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Back through z = r/||r||: J^T g = g/||r|| - r (r.g)/||r||^3, row-wise,
-    for one episode or a stack of them.
-
-    ``out`` may be ``grad_z`` itself."""
+    for one episode or a stack of them, written over ``grad_z``."""
     n = norms[..., None]
     dot = np.add.reduce(raw * grad_z, axis=-1, keepdims=True)
-    grad_raw = np.divide(grad_z, n, out=out)
-    grad_raw -= raw * (dot / n**3)
-    return grad_raw
+    grad_z /= n
+    grad_z -= raw * (dot / n**3)
+    return grad_z
 
 
 def _w_step(

@@ -3,6 +3,7 @@ isolation inside a stack, compare's shared pre-transform prefix, near-zero
 transformed norms, and reports across worker counts."""
 
 import dataclasses
+import itertools
 import json
 import re
 import warnings
@@ -119,29 +120,59 @@ def test_failed_episode_leaves_the_stack_with_its_own_iteration():
     assert sum(isinstance(r, EpisodeFailure) for r in results) == 1
 
 
-def test_shared_prefix_forks_equal_separate_runs():
+def _record_variant_runs(monkeypatch) -> list[dict]:
+    """Records each stack that runs to its last iteration, as every variant
+    of ``bench._solve_stack`` does: the stack, its trace bytes as the run
+    starts, and the results that its ``finish`` returns."""
+    runs, run, finish = [], Batch.run, Batch.finish
+
+    def recording_run(self, stop, on_iteration=None):
+        if stop == self.config.iterations:
+            runs.append({"batch": self, "trace": self.trace.tobytes()})
+        run(self, stop, on_iteration)
+
+    def recording_finish(self):
+        results = finish(self)
+        next(r for r in runs if r["batch"] is self)["results"] = results
+        return results
+
+    monkeypatch.setattr(Batch, "run", recording_run)
+    monkeypatch.setattr(Batch, "finish", recording_finish)
+    return runs
+
+
+def test_shared_prefix_forks_equal_separate_runs(monkeypatch):
     episodes = [SMALL.episode(s) for s in range(3)] + [_zero_query_episode(3)]
-    shared = Batch(episodes, QUICK).start()
-    shared.run(QUICK.transform_start)
-    for k, variant in enumerate(VARIANTS):
-        config = dataclasses.replace(QUICK, variant=variant)
-        batch = shared.fork(variant, share=k == len(VARIANTS) - 1)
-        batch.run(config.iterations)
-        for got, episode in zip(batch.finish(), episodes):
-            _assert_same(got, _single(episode, config))
+    with monkeypatch.context() as m:
+        runs = _record_variant_runs(m)
+        bench._solve_stack(list(enumerate(episodes)), QUICK, VARIANTS)
+    assert [r["batch"].config.variant for r in runs] == list(VARIANTS)
+    for r in runs:
+        for got, episode in zip(r["results"], episodes):
+            _assert_same(got, _single(episode, r["batch"].config))
 
 
-def test_running_one_fork_leaves_the_other_forks_trace_as_it_was():
-    shared = Batch([SMALL.episode(s) for s in range(3)], QUICK).start()
-    shared.run(QUICK.transform_start)
-    first, second = shared.fork("ft_tim"), shared.fork("linear_transform")
-    before = [b.trace.tobytes() for b in (shared, second)]
+def test_running_one_fork_leaves_the_other_forks_trace_as_it_was(monkeypatch):
+    runs = _record_variant_runs(monkeypatch)
+    bench._solve_stack([(s, SMALL.episode(s)) for s in range(3)], QUICK, VARIANTS)
+    # every variant starts from the prefix's trace, whichever variants ran before it
+    assert len(runs) == len(VARIANTS) and len({r["trace"] for r in runs}) == 1
     prefix = np.s_[:, :QUICK.transform_start]
-    assert first.trace[prefix].tobytes() == shared.trace[prefix].tobytes()
-    first.run(QUICK.iterations)
-    first.finish()
-    assert [b.trace.tobytes() for b in (shared, second)] == before
-    assert first.trace[prefix].tobytes() == shared.trace[prefix].tobytes()
+    first = runs[0]["batch"].trace[prefix].tobytes()
+    assert all(r["batch"].trace[prefix].tobytes() == first for r in runs)
+
+
+def test_variant_stacks_share_no_array(monkeypatch):
+    runs = _record_variant_runs(monkeypatch)
+    bench._solve_stack([(s, SMALL.episode(s)) for s in range(3)], QUICK, VARIANTS)
+    stacks = [r["batch"] for r in runs]
+    assert len(stacks) == len(VARIANTS)
+    for a, b in itertools.combinations(stacks, 2):
+        for name, other in itertools.product(Batch._STACKED, repeat=2):
+            x, y = getattr(a, name), getattr(b, other)
+            if x is not None and y is not None:
+                assert not np.shares_memory(x, y), (a.config.variant, name,
+                                                    b.config.variant, other)
 
 
 def test_run_past_the_configured_iterations_raises():

@@ -1171,7 +1171,36 @@ def test_verify_theory_gap_instances_checked_only_with_a_sweep(capsys):
         main(list(_SMALL_THEORY) + ["--tau-sweep", "1,0.1", "--gap-instances", "0"])
     assert exc.value.code == 2
     assert "--gap-instances must be at least 1" in capsys.readouterr().err
-    assert main(list(_SMALL_THEORY) + ["--gap-instances", "0"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(_SMALL_THEORY) + ["--gap-instances", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "fttim verify-theory: error: --gap-instances applies only with --tau-sweep"
+
+
+# --gap-instances as a flag is the test above
+@pytest.mark.parametrize("flag,value,spelling", [
+    ("--out", "missing/x.csv", "flag"),
+    ("--out", "missing/x.csv", "config"),
+    ("--gap-instances", "0", "config"),
+])
+def test_verify_theory_sweep_flags_without_a_sweep_are_usage_errors(
+        tmp_path, monkeypatch, capsys, flag, value, spelling):
+    _forbid_runs(monkeypatch)
+    args = list(_SMALL_THEORY)
+    if spelling == "flag":
+        args += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        args += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        f"fttim verify-theory: error: {flag} applies only with --tau-sweep"
 
 
 @pytest.mark.parametrize("prop", ["decomposition", "kkt", "lloyd", "mm", "sweep"])
